@@ -1,13 +1,14 @@
 """Binary numerals and the numeral arithmetic transformers.
 
 Two routes compute sums of numerals and are cross-checked against each
-other: a direct recursive algorithm (:func:`bplus`), and a conditional
-rewrite engine (:func:`bplus_rewrite`) that applies the eleven numeral
-addition rules with first-match rule order and leftmost-innermost redex
-selection.  The rule set is implemented exactly as stated, including a
-rule whose left-hand side duplicates an earlier rule's; as a result the
-rewrite route is not complete and can report a stuck term, which callers
-are expected to surface rather than hide.
+other: a direct algorithm (:func:`bplus`, a ripple-carry loop over both
+digit tuples, with :func:`btimes` a shift-and-add loop over it), and a
+conditional rewrite engine (:func:`bplus_rewrite`) that applies the
+eleven numeral addition rules with first-match rule order and
+leftmost-innermost redex selection.  The rule set is implemented exactly
+as stated, including a rule whose left-hand side duplicates an earlier
+rule's; as a result the rewrite route is not complete and can report a
+stuck term, which callers are expected to surface rather than hide.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ class BinDigit(enum.IntEnum):
 
 
 _DIGIT_OF = (BinDigit.D0, BinDigit.D1)
+_D0, _D1 = _DIGIT_OF
+_MEMBERS_ONLY = {BinDigit}
+
+
+def _as_digit(d) -> BinDigit:
+    """``d`` as a digit member.  Accepts what ``BinDigit(d)`` accepts,
+    values equal to 0 or 1, without the enum's by-value lookup."""
+    if d == 0:
+        return _D0
+    if d == 1:
+        return _D1
+    raise ValueError(f"{d!r} is not a valid BinDigit")
 
 
 @dataclass(frozen=True)
@@ -41,11 +54,12 @@ class BinNum:
     def __post_init__(self):
         if not self.digits:
             raise ValueError("a numeral has at least one digit")
-        object.__setattr__(
-            self,
-            "digits",
-            tuple(d if type(d) is BinDigit else BinDigit(d) for d in self.digits),
-        )
+        digits = tuple(self.digits)
+        # The kernel emits members only; other digits are checked and
+        # replaced by members.
+        if {*map(type, digits)} != _MEMBERS_ONLY:
+            digits = tuple(map(_as_digit, digits))
+        object.__setattr__(self, "digits", digits)
 
     def __len__(self):
         return len(self.digits)
@@ -55,47 +69,50 @@ def binnum(digits: Iterable[int]) -> BinNum:
     return BinNum(tuple(digits))
 
 
-# Raw-tuple helpers carry the recursions; public operations wrap them.
+# Raw-tuple helpers carry the loops; public operations wrap them.  They
+# return exactly the digit tuples of the clause-by-clause recursions in
+# the docstrings of :func:`bplus` and :func:`btimes`, padding included.
 
-def _succ(d: tuple[int, ...]) -> tuple[int, ...]:
-    if d[0] == 0:
-        return (1,) + d[1:]
-    if len(d) == 1:
-        return (0, 1)
-    return (0,) + _succ(d[1:])
-
-
-def _shift(d: tuple[int, ...]) -> tuple[int, ...]:
-    return (0,) + d
+def _succ(d: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
+    for i, digit in enumerate(d):
+        if not digit:
+            return (_D0,) * i + (_D1,) + d[i + 1:]
+    return (_D0,) * len(d) + (_D1,)
 
 
-def _bplus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if a == (0,):
-        return b
-    if a == (1,):
-        return _succ(b)
-    if len(b) == 1:
-        return a if b == (0,) else _succ(a)
-    low = _shift(_bplus(a[1:], b[1:]))
-    if a[0] and b[0]:
-        return _succ(_succ(low))
-    if a[0] or b[0]:
-        return _succ(low)
-    return low
+def _shift(d: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
+    return (_D0,) + d
 
 
-def _btimes(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    if y == (0,):
-        return (0,)
-    if y == (1,):
-        return x
-    if x == (0,):
-        return (0,)
-    if x == (1,):
-        return y
-    if x[0] == 0:
-        return _shift(_btimes(x[1:], y))
-    return _bplus(_shift(_btimes(x[1:], y)), y)
+def _bplus(a: tuple[BinDigit, ...], b: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
+    # Ripple carry while both operands have more than one digit left;
+    # the leftover single digit and the carry are then added to the other
+    # operand's remaining digits by successor steps.
+    low = []
+    carry = 0
+    last = min(len(a), len(b)) - 1
+    for i in range(last):
+        total = a[i] + b[i] + carry
+        low.append(_DIGIT_OF[total & 1])
+        carry = total >> 1
+    if len(a) - last == 1:
+        steps, high = a[last] + carry, b[last:]
+    else:
+        steps, high = b[last] + carry, a[last:]
+    for _ in range(steps):
+        high = _succ(high)
+    return (*low, *high)
+
+
+def _btimes(x: tuple[BinDigit, ...], y: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
+    if len(y) == 1:
+        return x if y[0] else (_D0,)
+    product = y if x[-1] else (_D0,)
+    for digit in reversed(x[:-1]):
+        product = _shift(product)
+        if digit:
+            product = _bplus(product, y)
+    return product
 
 
 def to_nat(b: BinNum) -> int:
@@ -111,16 +128,13 @@ def of_nat(n: int) -> BinNum:
     if n < 0:
         raise ValueError("naturals only")
     if n == 0:
-        return BinNum((BinDigit.D0,))
+        return BinNum((_D0,))
     digits = []
     while n:
-        digits.append(BinDigit(n & 1))
+        digits.append(_DIGIT_OF[n & 1])
         n >>= 1
     return BinNum(tuple(digits))
 
-
-# The raw helpers treat digits as ints; BinDigit members are ints, so
-# public wrappers pass the digit tuples through unconverted.
 
 def succ_b(b: BinNum) -> BinNum:
     return BinNum(_succ(b.digits))
@@ -131,10 +145,36 @@ def shift(b: BinNum) -> BinNum:
 
 
 def bplus(a: BinNum, b: BinNum) -> BinNum:
+    """Sum of two numerals, defined by clauses on their digits::
+
+        (0) + b          = b
+        (1) + b          = succ b
+        a + (0)          = a
+        a + (1)          = succ a
+        [a' d] + [b' e]  = succ^(d+e) (shift (a' + b'))
+
+    ``[a' d]`` is a numeral of two or more digits with low digit ``d``,
+    and ``succ^k`` applies :func:`succ_b` ``k`` times.  The clauses are
+    tried in this order and are computed by one ripple-carry loop; the
+    result keeps the shape they give, padding included.
+    """
     return BinNum(_bplus(a.digits, b.digits))
 
 
 def btimes(a: BinNum, b: BinNum) -> BinNum:
+    """Product of two numerals, defined by clauses on their digits::
+
+        x * (0)      = (0)
+        x * (1)      = x
+        (0) * y      = (0)
+        (1) * y      = y
+        [x' 0] * y   = shift (x' * y)
+        [x' 1] * y   = shift (x' * y) + y
+
+    The clauses are tried in this order and are computed by one
+    shift-and-add loop over ``x`` from its top digit down, with
+    :func:`bplus` for the additions.
+    """
     return BinNum(_btimes(a.digits, b.digits))
 
 

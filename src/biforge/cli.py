@@ -230,7 +230,9 @@ def run(argv: list[str]) -> int:
     try:
         output, status = _HANDLERS[Command(args.command)](args)
     except (ParseError, SortError, NotBnum, KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes included.
+        message = err.args[0] if isinstance(err, KeyError) else err
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_PARSE
     except (LanguageError, NotAnAbstraction, QuantifierEncountered) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -246,3 +248,7 @@ def run(argv: list[str]) -> int:
 
 def console_main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -14,7 +14,7 @@ Printing is the exact inverse on canonical output: parse(print(c)) == c.
 
 from __future__ import annotations
 
-from .binum import BinDigit, BinNum, normalize, to_construction
+from .binum import _DIGIT_OF, BinNum, normalize, of_nat, to_construction
 from .errors import ParseError
 from .syntax import (
     Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
@@ -50,12 +50,12 @@ def _tokenize(text: str):
     return tokens
 
 
-def _parse_binary_literal(token: str, pos: int) -> Construction:
+def _read_binary_literal(token: str, pos: int) -> BinNum:
+    """The numeral of a ``#b`` literal, most-significant bit first."""
     bits = token[2:]
     if not bits or any(b not in "01" for b in bits):
         raise ParseError(f"bad binary literal {token!r}", pos)
-    digits = tuple(BinDigit(int(b)) for b in reversed(bits))
-    return to_construction(BinNum(digits))
+    return BinNum(tuple(_DIGIT_OF[b == "1"] for b in reversed(bits)))
 
 
 def _read(tokens: list[tuple[str, int]], i: int):
@@ -114,7 +114,7 @@ def _atom(token: str, pos: int) -> Construction:
     if token == "ff":
         return FF()
     if token.startswith("#b"):
-        return _parse_binary_literal(token, pos)
+        return to_construction(_read_binary_literal(token, pos))
     if token in _RESERVED or token.startswith("#"):
         raise ParseError(f"{token!r} cannot stand alone", pos)
     if not (token[0].isalpha() and all(ch.isalnum() or ch in "_-'" for ch in token)):
@@ -172,13 +172,8 @@ def parse_binnum(text: str, pos: int = 0) -> BinNum:
     """A numeral argument: a ``#b`` literal or a decimal natural."""
     text = text.strip()
     if text.startswith("#b"):
-        bits = text[2:]
-        if not bits or any(b not in "01" for b in bits):
-            raise ParseError(f"bad binary literal {text!r}", pos)
-        return BinNum(tuple(BinDigit(int(b)) for b in reversed(bits)))
+        return _read_binary_literal(text, pos)
     if text.isdigit():
-        from .binum import of_nat
-
         return of_nat(int(text))
     raise ParseError(f"bad numeral {text!r}", pos)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -539,7 +540,9 @@ def check_definite_description(
 # ---------------------------------------------------------------------------
 # Theory-graph description files.
 
-_POLICY_NAMES = {"decide-l2": DecideL2}
+# A comment runs from a ``#`` to the end of the line; ``#b`` starts a
+# binary literal instead.
+_COMMENT = re.compile(r"#(?!b).*")
 
 
 def render_theory_graph(theories: list[BiformTheory], morphisms: list[Morphism]) -> str:
@@ -607,7 +610,7 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
         current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")

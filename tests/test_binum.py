@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -24,6 +26,25 @@ def test_binnum_validation():
     with pytest.raises(ValueError):
         BinNum(())
     assert len(binnum([0, 1, 1])) == 3
+    for bad in ([2], [-1], ["1"], [1, 0, 2]):
+        with pytest.raises(ValueError):
+            binnum(bad)
+
+
+def test_binnum_accepts_what_bindigit_accepts():
+    for value in (0, 1, True, False, 1.0, 0.0, BinDigit.D1, "0", None, 0.5):
+        try:
+            expected = (BinDigit(value),)
+        except ValueError:
+            with pytest.raises(ValueError):
+                binnum([value])
+        else:
+            got = binnum([value]).digits
+            assert got == expected and type(got[0]) is BinDigit
+
+
+def digits_are_members(n: BinNum) -> bool:
+    return all(type(d) is BinDigit for d in n.digits)
 
 
 def test_to_nat():
@@ -175,3 +196,94 @@ def test_meaning_formulas_small():
             vb = to_nat(b)
             assert to_nat(bplus(a, b)) == va + vb
             assert to_nat(btimes(a, b)) == va * vb
+
+
+# The clause-by-clause recursions that define the kernel's results,
+# digit tuple for digit tuple.  The kernel computes them with loops.
+
+def ref_succ(d):
+    if d[0] == 0:
+        return (1,) + d[1:]
+    if len(d) == 1:
+        return (0, 1)
+    return (0,) + ref_succ(d[1:])
+
+
+def ref_bplus(a, b):
+    if a == (0,):
+        return b
+    if a == (1,):
+        return ref_succ(b)
+    if len(b) == 1:
+        return a if b == (0,) else ref_succ(a)
+    low = (0,) + ref_bplus(a[1:], b[1:])
+    if a[0] and b[0]:
+        return ref_succ(ref_succ(low))
+    if a[0] or b[0]:
+        return ref_succ(low)
+    return low
+
+
+def ref_btimes(x, y):
+    if y == (0,):
+        return (0,)
+    if y == (1,):
+        return x
+    if x == (0,):
+        return (0,)
+    if x == (1,):
+        return y
+    if x[0] == 0:
+        return (0,) + ref_btimes(x[1:], y)
+    return ref_bplus((0,) + ref_btimes(x[1:], y), y)
+
+
+def test_kernel_matches_recursion_exhaustively():
+    numerals = list(all_numerals(7))
+    for a in numerals:
+        got = succ_b(a)
+        assert got.digits == ref_succ(a.digits) and digits_are_members(got)
+        for b in numerals:
+            got = bplus(a, b)
+            assert got.digits == ref_bplus(a.digits, b.digits), (a, b)
+            assert digits_are_members(got)
+            got = btimes(a, b)
+            assert got.digits == ref_btimes(a.digits, b.digits), (a, b)
+            assert digits_are_members(got)
+
+
+def random_numeral(rng, max_len):
+    return binnum(rng.randrange(2) for _ in range(rng.randint(1, max_len)))
+
+
+def test_kernel_matches_recursion_on_random_long_numerals():
+    rng = random.Random(20240)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        for _ in range(60):
+            a, b = random_numeral(rng, 400), random_numeral(rng, 400)
+            got = bplus(a, b)
+            assert got.digits == ref_bplus(a.digits, b.digits)
+            assert digits_are_members(got)
+            a, b = random_numeral(rng, 200), random_numeral(rng, 200)
+            got = btimes(a, b)
+            assert got.digits == ref_btimes(a.digits, b.digits)
+            assert digits_are_members(got)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_kernel_is_not_bounded_by_the_recursion_limit():
+    rng = random.Random(7)
+    a = binnum([1] * 10_000)
+    b = binnum([rng.randrange(2) for _ in range(9_999)] + [1])
+    assert to_nat(bplus(a, b)) == to_nat(a) + to_nat(b)
+    assert to_nat(succ_b(a)) == 2 ** 10_000
+    x = binnum([1] * 2_000)
+    y = binnum([rng.randrange(2) for _ in range(1_999)] + [1])
+    product = btimes(x, y)
+    assert to_nat(product) == (2 ** 2_000 - 1) * to_nat(y)
+    assert digits_are_members(product)
+    assert digits_are_members(of_nat(to_nat(y)))
+

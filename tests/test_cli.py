@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from biforge.cli import run
 
 
@@ -151,3 +156,17 @@ def test_bound_env_variable(monkeypatch, capsys):
 
 def test_unknown_theory_name(capsys):
     assert run(["check-theory", "BT99"]) == 2
+    assert capsys.readouterr().err == "error: no such theory: BT99\n"
+
+
+def test_module_entry_point():
+    import biforge
+
+    src = str(Path(biforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "biforge.cli", "bplus", "#b1", "#b1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.stdout, done.returncode) == ("#b10\n", 0)

@@ -3,6 +3,7 @@ import pytest
 from biforge.errors import LanguageError, NotAnAbstraction
 from biforge.presburger import TruthValue, decide_bt6
 from biforge.recognizers import LangLevel
+from biforge.sexpr import parse_construction
 from biforge.theory import (
     AXIOMS, BiformTheory, DecideL2, Morphism, Obligation, SchemaKind,
     builtin_morphisms, check_axioms, check_definite_description,
@@ -174,6 +175,18 @@ def test_definite_description_rejects_wrong_function():
     assert not report.ok
     failing = {e.subject for e in report.entries if not e.passed}
     assert "plus uniqueness" in failing
+
+
+def test_theory_graph_keeps_binary_literals():
+    text = (
+        "theory T  # a comment\n"
+        "  level 2\n"
+        "  axiom two-plus (= (+ #b1 #b1) #b10)  # one and one\n"
+    )
+    theories, _ = parse_theory_graph(text)
+    ((name, formula),) = theories["T"].axioms
+    assert name == "two-plus"
+    assert formula == parse_construction("(= (+ #b1 #b1) #b10)")
 
 
 def test_theory_graph_round_trip():
