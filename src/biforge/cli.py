@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 a check report contains failures or a decision
-misses ``--expect``; 2 parse or sort error; 3 language, recognizer or
+misses ``--expect``; 2 usage, parse or sort error, a bad bound or sample
+count, or an unwritable ``--out`` file; 3 language, recognizer or
 strategy violation; 4 stuck rewrite.  Nothing is written to disk unless
 ``--out`` is given.
 """
@@ -9,7 +10,7 @@ strategy violation; 4 stuck rewrite.  Nothing is written to disk unless
 from __future__ import annotations
 
 import argparse
-import enum
+import functools
 import os
 import sys
 from pathlib import Path
@@ -39,22 +40,16 @@ EXIT_LANGUAGE = 3
 EXIT_STUCK = 4
 
 
-class Command(enum.Enum):
-    EVAL = "eval"
-    DECIDE = "decide"
-    RECOGNIZE = "recognize"
-    BPLUS = "bplus"
-    BTIMES = "btimes"
-    INDUCT = "induct"
-    CHECK_THEORY = "check-theory"
-    CHECK_MORPHISM = "check-morphism"
-    NORMALIZE = "normalize"
-
-
 def _default_bound() -> int:
-    return int(os.environ.get("BIFORGE_BOUND", "32"))
+    """``BIFORGE_BOUND``, read on every call, else 32."""
+    text = os.environ.get("BIFORGE_BOUND", "32")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"BIFORGE_BOUND must be a natural, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biforge",
@@ -68,45 +63,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", default="", help="comma-separated name=value pairs")
     p.add_argument("--bound", type=int, default=None,
                    help="evaluate quantifiers over 0..N")
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("decide", help="decide a sentence")
     p.add_argument("expr")
     p.add_argument("--theory", choices=("bt5", "bt6"), default="bt6")
     p.add_argument("--env", default="")
     p.add_argument("--expect", choices=("tt", "ff"), default=None)
+    p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("recognize", help="check language membership")
     p.add_argument("expr")
     p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--abs", action="store_true",
                    help="require a predicate abstraction")
+    p.set_defaults(handler=_cmd_recognize)
 
     p = sub.add_parser("bplus", help="add two binary numerals")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--rewrite", action="store_true",
                    help="use the conditional rewrite engine")
+    p.set_defaults(handler=_cmd_bplus)
 
     p = sub.add_parser("btimes", help="multiply two binary numerals")
     p.add_argument("a")
     p.add_argument("b")
+    p.set_defaults(handler=_cmd_btimes)
 
     p = sub.add_parser("induct", help="instantiate the induction schema")
     p.add_argument("pred", help="a (lambda v F) predicate")
     p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    p.set_defaults(handler=_cmd_induct)
 
     p = sub.add_parser("check-theory", help="validate a theory's axioms")
     p.add_argument("name")
     p.add_argument("--graph", metavar="FILE", help="load the theory graph from FILE")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--bound", type=int, default=None)
+    p.set_defaults(handler=_cmd_check_theory)
 
     p = sub.add_parser("check-morphism", help="discharge a morphism's obligations")
     p.add_argument("name")
     p.add_argument("--graph", metavar="FILE")
+    p.set_defaults(handler=_cmd_check_morphism)
 
     p = sub.add_parser("normalize", help="canonicalize a binary numeral")
     p.add_argument("n")
+    p.set_defaults(handler=_cmd_normalize)
 
     return parser
 
@@ -210,25 +214,11 @@ def _cmd_normalize(args) -> tuple[str, int]:
     return binnum_literal(normalize(parse_binnum(args.n))), EXIT_OK
 
 
-_HANDLERS = {
-    Command.EVAL: _cmd_eval,
-    Command.DECIDE: _cmd_decide,
-    Command.RECOGNIZE: _cmd_recognize,
-    Command.BPLUS: _cmd_bplus,
-    Command.BTIMES: _cmd_btimes,
-    Command.INDUCT: _cmd_induct,
-    Command.CHECK_THEORY: _cmd_check_theory,
-    Command.CHECK_MORPHISM: _cmd_check_morphism,
-    Command.NORMALIZE: _cmd_normalize,
-}
-
-
 def run(argv: list[str]) -> int:
     """Execute one command line; prints the result, returns the exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        output, status = _HANDLERS[Command(args.command)](args)
+        output, status = args.handler(args)
     except (ParseError, SortError, NotBnum, KeyError, ValueError) as err:
         # str() of a KeyError is the repr of its argument, quotes included.
         message = err.args[0] if isinstance(err, KeyError) else err
@@ -242,7 +232,11 @@ def run(argv: list[str]) -> int:
         return EXIT_STUCK
     print(output)
     if args.out:
-        Path(args.out).write_text(output + "\n")
+        try:
+            Path(args.out).write_text(output + "\n")
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+            return EXIT_PARSE
     return status
 
 

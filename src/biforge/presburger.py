@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import LanguageError, SortError
 from .recognizers import LangLevel, is_fo
-from .semantics import Bounded, Environment, eval_bool
+from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
     Plus, Sort, Succ, TT, Times, Var, Zero,
@@ -557,11 +557,16 @@ def decide_bt5(c: Construction, e: Optional[Environment] = None) -> TruthValue:
     return _decide(c, e)
 
 
-def bounded_oracle(c: Construction, e: Environment, bound: int) -> bool:
-    """Brute-force reference: quantifiers enumerate 0..bound inclusive."""
+def compile_oracle(c: Construction, bound: int) -> Callable[[Environment], bool]:
+    """The bounded oracle of a formula, sort-checked and compiled once."""
     if sort_of(c) is not Sort.BOOL:
         raise SortError("bounded_oracle needs a formula")
-    return eval_bool(c, e, Bounded(bound))
+    return compile_bool(c, Bounded(bound))
+
+
+def bounded_oracle(c: Construction, e: Environment, bound: int) -> bool:
+    """Brute-force reference: quantifiers enumerate 0..bound inclusive."""
+    return compile_oracle(c, bound)(e)
 
 
 def sufficiency_bound(records: list[Elimination]) -> Optional[int]:

@@ -199,7 +199,12 @@ def eval_nat(c: Construction, e: Environment) -> int:
     return _compile_term(c)(dict(e.items()))
 
 
+def compile_bool(c: Construction, s: EvalStrategy = QUANTIFIER_FREE) -> Callable[[Environment], bool]:
+    """Compile a formula once into its truth function over environments."""
+    f = _compile_formula(c, s.bound if isinstance(s, Bounded) else None)
+    return lambda e: f(dict(e.items()))
+
+
 def eval_bool(c: Construction, e: Environment, s: EvalStrategy = QUANTIFIER_FREE) -> bool:
     """Classical two-valued truth of a formula under ``e``."""
-    bound = s.bound if isinstance(s, Bounded) else None
-    return _compile_formula(c, bound)(dict(e.items()))
+    return compile_bool(c, s)(e)

@@ -13,6 +13,7 @@ is out of reach for a test harness and is not claimed.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import re
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Union
 
 from . import binum
 from .errors import LanguageError, NotAnAbstraction, ParseError
-from .presburger import TruthValue, bounded_oracle, decide_bt5, decide_bt6
+from .presburger import TruthValue, compile_oracle, decide_bt5, decide_bt6
 from .recognizers import LangLevel, is_fo, is_fo_abs
 from .semantics import Environment
 from .sexpr import parse_construction, to_sexpr
@@ -119,6 +120,17 @@ class RandomizedModelCheck:
 
     samples: int
     bound: int
+
+    def __post_init__(self):
+        _check_sampling(self.samples, self.bound)
+
+
+def _check_sampling(samples: int, bound: int) -> None:
+    """Reject a sample count that would check nothing, or a negative bound."""
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    if bound < 0:
+        raise ValueError(f"bound must be a natural, got {bound}")
 
 
 DischargePolicy = Union[DecideL2, RandomizedModelCheck]
@@ -235,11 +247,8 @@ def _named(names: tuple[str, ...]) -> tuple[tuple[str, Construction], ...]:
     return tuple((n, AXIOMS[n]) for n in names)
 
 
-def registry() -> list[BiformTheory]:
-    """The eight built-in theories with their axioms, schema kinds,
-    transformer descriptors and inclusion edges."""
-    from .presburger import decide_bt5 as _d5, decide_bt6 as _d6
-
+@functools.cache
+def _theories() -> dict[str, BiformTheory]:
     rec1 = Transformer("is-fo-l1", "pi1", lambda c: is_fo(LangLevel.L1, c))
     rec2 = Transformer("is-fo-l2", "pi5", lambda c: is_fo(LangLevel.L2, c))
     rec3 = Transformer("is-fo-l3", "pi9", lambda c: is_fo(LangLevel.L3, c))
@@ -249,10 +258,10 @@ def registry() -> list[BiformTheory]:
     plus_direct = Transformer("bplus", "pi3", binum.bplus)
     plus_rewrite = Transformer("bplus-rewrite", "pi4", binum.bplus_rewrite)
     times_direct = Transformer("btimes", "pi7", binum.btimes)
-    dec5 = Transformer("decide-bt5", "pi11", _d5)
-    dec6 = Transformer("decide-bt6", "pi14", _d6)
+    dec5 = Transformer("decide-bt5", "pi11", decide_bt5)
+    dec6 = Transformer("decide-bt6", "pi14", decide_bt6)
 
-    return [
+    theories = [
         BiformTheory("BT1", LangLevel.L1, (), _named(_L1_AXIOMS), (), (rec1,)),
         BiformTheory(
             "BT2", LangLevel.L2, ("BT1",), _named(_L2_AXIOMS), (),
@@ -285,20 +294,28 @@ def registry() -> list[BiformTheory]:
             (Transformer("+-pred", "dd-plus"), Transformer("*-pred", "dd-times")),
         ),
     ]
+    return {t.name.lower(): t for t in theories}
+
+
+def registry() -> list[BiformTheory]:
+    """The eight built-in theories with their axioms, schema kinds,
+    transformer descriptors and inclusion edges, as a fresh list."""
+    return list(_theories().values())
 
 
 def theory(name: str) -> BiformTheory:
-    for t in registry():
-        if t.name.lower() == name.lower():
-            return t
-    raise KeyError(f"no such theory: {name}")
+    try:
+        return _theories()[name.lower()]
+    except KeyError:
+        raise KeyError(f"no such theory: {name}") from None
 
 
 _IDENTITY_L3 = (("0", "0"), ("S", "S"), ("+", "+"), ("*", "*"))
 
 
-def builtin_morphisms() -> list[Morphism]:
-    return [
+@functools.cache
+def _morphisms() -> dict[str, Morphism]:
+    morphisms = [
         Morphism(
             name="BT4-to-BT7",
             source="BT4",
@@ -326,13 +343,19 @@ def builtin_morphisms() -> list[Morphism]:
             ),
         ),
     ]
+    return {m.name.lower(): m for m in morphisms}
+
+
+def builtin_morphisms() -> list[Morphism]:
+    """The built-in morphisms, as a fresh list."""
+    return list(_morphisms().values())
 
 
 def morphism(name: str) -> Morphism:
-    for m in builtin_morphisms():
-        if m.name.lower() == name.lower():
-            return m
-    raise KeyError(f"no such morphism: {name}")
+    try:
+        return _morphisms()[name.lower()]
+    except KeyError:
+        raise KeyError(f"no such morphism: {name}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +401,13 @@ def _strip_foralls(c: Construction) -> tuple[list[str], Construction]:
 def _model_check(
     formula: Construction, samples: int, bound: int, rng: random.Random
 ) -> Optional[Environment]:
-    """Witness environment falsifying the stripped formula, or None."""
+    """Witness environment falsifying the stripped formula, or None; the
+    matrix is compiled once for all samples."""
     names, matrix = _strip_foralls(formula)
-    rounds = samples if names else 1
-    for _ in range(rounds):
+    holds = compile_oracle(matrix, bound)
+    for _ in range(samples if names else 1):
         env = Environment({v: rng.randint(0, bound) for v in names})
-        if not bounded_oracle(matrix, env, bound):
+        if not holds(env):
             return env
     return None
 
@@ -398,6 +422,7 @@ def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
     """
     if t.level is None:
         raise ValueError("check_axioms needs a first-order theory")
+    _check_sampling(samples, bound)
     rng = random.Random(seed)
     entries = []
     for name, formula in t.axioms:
@@ -626,7 +651,10 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
         if current is None:
             raise ParseError(f"line {lineno}: directive outside a record", 0)
         if head == "level":
-            current["level"] = None if rest == "higher-order" else LangLevel(int(rest))
+            try:
+                current["level"] = None if rest == "higher-order" else LangLevel(int(rest))
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad level {rest!r}", 0) from None
         elif head == "extends":
             current["extends"].append(rest)
         elif head == "axiom":
@@ -652,7 +680,10 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
             elif policy_word == "model-check":
                 samples_word, _, tail = tail.partition(" ")
                 bound_word, _, body = tail.partition(" ")
-                policy = RandomizedModelCheck(int(samples_word), int(bound_word))
+                try:
+                    policy = RandomizedModelCheck(int(samples_word), int(bound_word))
+                except ValueError as err:
+                    raise ParseError(f"line {lineno}: {err}", 0) from None
             else:
                 raise ParseError(f"line {lineno}: unknown policy {policy_word!r}", 0)
             current["obligations"].append(Obligation(name, parse_construction(body), policy))

@@ -1,7 +1,11 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
+
+import pytest
 
 from biforge.cli import run
 
@@ -152,11 +156,96 @@ def test_bound_env_variable(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "bounded-oracle[5x8]" in out
+    # Read again on the next call, not kept from the first.
+    monkeypatch.setenv("BIFORGE_BOUND", "4")
+    assert run(["check-theory", "BT3", "--samples", "5"]) == 0
+    assert "bounded-oracle[5x4]" in capsys.readouterr().out
 
 
 def test_unknown_theory_name(capsys):
     assert run(["check-theory", "BT99"]) == 2
     assert capsys.readouterr().err == "error: no such theory: BT99\n"
+
+
+def test_nonpositive_samples_are_rejected(capsys):
+    assert run(["check-theory", "BT3", "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be positive, got -5\n"
+
+
+def test_graph_obligation_with_zero_samples_is_rejected(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text(
+        "morphism bogus-m\n"
+        "  source BT3\n"
+        "  target BT3\n"
+        "  obligation bogus model-check 0 32 (forall x (= (* x z) (s z)))\n"
+    )
+    assert run(["check-morphism", "bogus-m", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 4: samples must be positive, got 0 (at position 0)\n"
+    )
+
+
+@pytest.mark.parametrize("env_bound, argv, message", [
+    ("-3", [], "bound must be a natural, got -3"),
+    (None, ["--bound", "-1"], "bound must be a natural, got -1"),
+    ("abc", [], "BIFORGE_BOUND must be a natural, got 'abc'"),
+])
+def test_bad_bound_is_one_line(monkeypatch, capsys, env_bound, argv, message):
+    if env_bound is None:
+        monkeypatch.delenv("BIFORGE_BOUND", raising=False)
+    else:
+        monkeypatch.setenv("BIFORGE_BOUND", env_bound)
+    assert run(["check-theory", "BT3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_out_to_a_directory_is_an_error(tmp_path, capsys):
+    code = run(["--out", str(tmp_path), "bplus", "#b1", "#b1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "#b10\n"
+    assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_rewrite_flag_does_not_stick(monkeypatch, capsys):
+    import biforge.cli as cli
+
+    assert run(["bplus", "--rewrite", "2", "3"]) == 0
+    rewrites = []
+    monkeypatch.setattr(cli, "bplus_rewrite",
+                        lambda a, b: rewrites.append((a, b)))
+    assert run(["bplus", "2", "3"]) == 0
+    assert rewrites == []
+    assert capsys.readouterr().out == "#b101\n#b101\n"
+
+
+def test_out_flag_does_not_stick(tmp_path, capsys):
+    target = tmp_path / "result.txt"
+    assert run(["--out", str(target), "bplus", "#b1", "#b1"]) == 0
+    target.unlink()
+    assert run(["bplus", "#b1", "#b1"]) == 0
+    assert not target.exists()
+
+
+def test_usage_error_goes_to_the_current_stderr(capsys):
+    first, second = io.StringIO(), io.StringIO()
+    with redirect_stderr(first), pytest.raises(SystemExit) as exited:
+        run(["frobnicate"])
+    assert exited.value.code == 2
+    with redirect_stderr(second), pytest.raises(SystemExit):
+        run(["bplus", "#b1"])
+    assert "invalid choice: 'frobnicate'" in first.getvalue()
+    assert "usage: biforge bplus" in second.getvalue()
+    assert "frobnicate" not in second.getvalue()
+    assert run(["bplus", "#b1", "#b1"]) == 0
+    assert capsys.readouterr().out == "#b10\n"
 
 
 def test_module_entry_point():

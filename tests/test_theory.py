@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from biforge.errors import LanguageError, NotAnAbstraction
-from biforge.presburger import TruthValue, decide_bt6
+from biforge.errors import LanguageError, NotAnAbstraction, ParseError
+from biforge.presburger import TruthValue, bounded_oracle, decide_bt6
 from biforge.recognizers import LangLevel
+from biforge.semantics import Environment
 from biforge.sexpr import parse_construction
 from biforge.theory import (
-    AXIOMS, BiformTheory, DecideL2, Morphism, Obligation, SchemaKind,
+    AXIOMS, BiformTheory, DecideL2, Morphism, Obligation,
+    RandomizedModelCheck, SchemaKind, _model_check, _strip_foralls,
     builtin_morphisms, check_axioms, check_definite_description,
     check_morphism, induction_instance, morphism, parse_theory_graph,
     registry, render_theory_graph, theory, translate,
@@ -206,3 +210,64 @@ def test_theory_graph_round_trip():
         assert p.symbol_map == m.symbol_map
         assert p.obligations == m.obligations
         assert p.schema_obligations == m.schema_obligations
+
+
+def test_lookups_are_case_insensitive_and_shared():
+    assert theory("bt2") is theory("BT2")
+    assert morphism("bt7-TO-bt8") is morphism("BT7-to-BT8")
+    with pytest.raises(KeyError, match="no such theory: BT99"):
+        theory("BT99")
+    with pytest.raises(KeyError, match="no such morphism: nope"):
+        morphism("nope")
+
+
+def test_mutating_returned_lists_leaves_lookups_intact():
+    listed = registry()
+    listed.clear()
+    builtin_morphisms().clear()
+    assert theory("BT1").name == "BT1"
+    assert len(registry()) == 8
+    assert morphism("BT4-to-BT7").name == "BT4-to-BT7"
+    assert len(builtin_morphisms()) == 2
+
+
+def test_model_check_witness_matches_oracle_loop():
+    formula = parse_construction("(forall x (forall y (= (* x y) (+ y (s z)))))")
+    got = _model_check(formula, 50, 7, random.Random(5))
+
+    # The sampling loop, one bounded_oracle call per environment.
+    rng = random.Random(5)
+    names, matrix = _strip_foralls(formula)
+    expected = None
+    for _ in range(50):
+        env = Environment({v: rng.randint(0, 7) for v in names})
+        if not bounded_oracle(matrix, env, 7):
+            expected = env
+            break
+    assert expected is not None
+    assert repr(got) == repr(expected)
+
+
+def test_vacuous_model_checks_are_rejected():
+    with pytest.raises(ValueError, match="samples must be positive, got 0"):
+        RandomizedModelCheck(0, 32)
+    with pytest.raises(ValueError, match="bound must be a natural, got -1"):
+        RandomizedModelCheck(10, -1)
+    with pytest.raises(ValueError, match="samples must be positive, got -5"):
+        check_axioms(theory("BT3"), samples=-5)
+    with pytest.raises(ValueError, match="bound must be a natural, got -3"):
+        check_axioms(theory("BT3"), bound=-3)
+    text = (
+        "morphism M\n"
+        "  source BT3\n"
+        "  target BT3\n"
+        "  obligation bogus model-check 0 32 (forall x (= (* x z) (s z)))\n"
+    )
+    with pytest.raises(ParseError, match="line 4: samples must be positive, got 0"):
+        parse_theory_graph(text)
+
+
+@pytest.mark.parametrize("level", ["two", "7"])
+def test_theory_graph_rejects_bad_level(level):
+    with pytest.raises(ParseError, match=f"line 2: bad level '{level}'"):
+        parse_theory_graph(f"theory T\n  level {level}\n")
