@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 a check report contains failures or a decision
 misses ``--expect``; 2 usage, parse or sort error, a bad bound or sample
-count, or an unwritable ``--out`` file; 3 language, recognizer or
-strategy violation; 4 stuck rewrite.  Nothing is written to disk unless
-``--out`` is given.
+count, an unwritable ``--out`` file, or input nested too deeply for the
+interpreter's recursion limit; 3 language, recognizer or strategy
+violation; 4 stuck rewrite.  Nothing is written to disk unless ``--out``
+is given.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .binum import (
     bplus, bplus_rewrite, btimes, from_construction, normalize,
@@ -30,7 +30,8 @@ from .semantics import Bounded, QUANTIFIER_FREE, eval_bool, eval_nat, parse_envi
 from .sexpr import binnum_literal, parse_binnum, parse_construction, to_sexpr
 from .syntax import Sort, sort_of
 from .theory import (
-    check_axioms, check_morphism, morphism, parse_theory_graph, theory,
+    SchemaKind, check_axioms, check_morphism, induction_instance, morphism,
+    parse_theory_graph, theory,
 )
 
 EXIT_OK = 0
@@ -115,9 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LEVELS = {1: LangLevel.L1, 2: LangLevel.L2, 3: LangLevel.L3}
-
-
 def _cmd_eval(args) -> tuple[str, int]:
     c = parse_construction(args.expr)
     env = parse_environment(args.env)
@@ -144,7 +142,7 @@ def _cmd_decide(args) -> tuple[str, int]:
 
 def _cmd_recognize(args) -> tuple[str, int]:
     c = parse_construction(args.expr)
-    level = _LEVELS[args.level]
+    level = LangLevel(args.level)
     accepted = is_fo_abs(level, c) if args.abs else is_fo(level, c)
     return ("yes", EXIT_OK) if accepted else ("no", EXIT_LANGUAGE)
 
@@ -166,47 +164,31 @@ def _cmd_btimes(args) -> tuple[str, int]:
 
 
 def _cmd_induct(args) -> tuple[str, int]:
-    from .theory import SchemaKind, induction_instance
-
-    kinds = {
-        1: SchemaKind.INDUCTION_L1,
-        2: SchemaKind.INDUCTION_L2,
-        3: SchemaKind.INDUCTION_L3,
-    }
     pred = parse_construction(args.pred)
-    return to_sexpr(induction_instance(kinds[args.level], pred)), EXIT_OK
+    kind = SchemaKind(f"induction-l{args.level}")
+    return to_sexpr(induction_instance(kind, pred)), EXIT_OK
 
 
-def _loaded_graph(path: Optional[str]):
-    if path is None:
-        return None
-    return parse_theory_graph(Path(path).read_text())
+def _lookup(args, index: int, kind: str, builtin):
+    """The named record: entry ``index`` (0 theories, 1 morphisms) of
+    the ``--graph`` file when one is given, else the built-in one."""
+    if args.graph is None:
+        return builtin(args.name)
+    records = parse_theory_graph(Path(args.graph).read_text())[index]
+    if args.name not in records:
+        raise ParseError(f"no {kind} {args.name!r} in {args.graph}", 0)
+    return records[args.name]
 
 
 def _cmd_check_theory(args) -> tuple[str, int]:
-    graph = _loaded_graph(args.graph)
-    if graph is not None:
-        theories, _ = graph
-        if args.name not in theories:
-            raise ParseError(f"no theory {args.name!r} in {args.graph}", 0)
-        t = theories[args.name]
-    else:
-        t = theory(args.name)
+    t = _lookup(args, 0, "theory", theory)
     bound = args.bound if args.bound is not None else _default_bound()
     report = check_axioms(t, samples=args.samples, bound=bound)
     return report.render(), EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def _cmd_check_morphism(args) -> tuple[str, int]:
-    graph = _loaded_graph(args.graph)
-    if graph is not None:
-        _, morphisms = graph
-        if args.name not in morphisms:
-            raise ParseError(f"no morphism {args.name!r} in {args.graph}", 0)
-        m = morphisms[args.name]
-    else:
-        m = morphism(args.name)
-    report = check_morphism(m)
+    report = check_morphism(_lookup(args, 1, "morphism", morphism))
     return report.render(), EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -219,7 +201,7 @@ def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     try:
         output, status = args.handler(args)
-    except (ParseError, SortError, NotBnum, KeyError, ValueError) as err:
+    except (ParseError, SortError, NotBnum, KeyError, ValueError, RecursionError) as err:
         # str() of a KeyError is the repr of its argument, quotes included.
         message = err.args[0] if isinstance(err, KeyError) else err
         print(f"error: {message}", file=sys.stderr)

@@ -103,9 +103,6 @@ class LinearTerm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.coeffs)
-
 
 @dataclass(frozen=True)
 class EqZero:
@@ -226,34 +223,32 @@ def q_or_all(parts: list[QFormula]) -> QFormula:
     return out
 
 
+def _reduce(t: LinearTerm, d: int = 0) -> tuple[int, LinearTerm]:
+    """The gcd ``g`` of ``d`` and ``t``'s coefficients and constant, and
+    ``t`` divided by ``g``."""
+    g = gcd(d, *(abs(c) for _, c in t.coeffs), abs(t.const))
+    if g > 1:
+        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
+    return g, t
+
+
 def _mk_eq(t: LinearTerm) -> QFormula:
     if t.is_constant:
         return _TRUE if t.const == 0 else _FALSE
-    g = gcd(*(abs(c) for _, c in t.coeffs), abs(t.const))
-    if g > 1:
-        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
-    return QAtom(EqZero(t))
+    return QAtom(EqZero(_reduce(t)[1]))
 
 
 def _mk_lt(t: LinearTerm) -> QFormula:
     if t.is_constant:
         return _TRUE if t.const < 0 else _FALSE
-    g = gcd(*(abs(c) for _, c in t.coeffs), abs(t.const))
-    if g > 1:
-        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
-    return QAtom(LtZero(t))
+    return QAtom(LtZero(_reduce(t)[1]))
 
 
 def _mk_div(d: int, t: LinearTerm) -> QFormula:
     if t.is_constant:
         return _TRUE if t.const % d == 0 else _FALSE
-    g = gcd(d, *(abs(c) for _, c in t.coeffs), abs(t.const))
-    if g > 1:
-        d //= g
-        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
-    if d == 1:
-        return _TRUE
-    return QAtom(Divides(d, t))
+    g, t = _reduce(t, d)
+    return _TRUE if g == d else QAtom(Divides(d // g, t))
 
 
 def negate(f: QFormula) -> QFormula:
@@ -527,10 +522,29 @@ def _ground(c: Construction, e: Environment) -> Construction:
     return c
 
 
-def _decide(c: Construction, e: Environment, record: Optional[list[Elimination]] = None) -> TruthValue:
-    grounded = _ground(c, e)
-    q = linearize(grounded)
-    q = eliminate_quantifiers(q, record)
+# The procedure's name and language at each level, for error messages.
+_PROCEDURES = {
+    LangLevel.L1: ("decide_bt5", "0 and successor"),
+    LangLevel.L2: ("decide_bt6", "0, successor and +"),
+}
+
+
+def _decide(
+    c: Construction,
+    e: Optional[Environment],
+    level: LangLevel,
+    record: Optional[list[Elimination]] = None,
+) -> TruthValue:
+    """Check that ``c`` is a formula of ``level``, ground its free
+    variables through ``e`` and decide it.  Grounding substitutes closed
+    level-1 numerals, so the grounded formula needs no second check."""
+    name, language = _PROCEDURES[level]
+    if sort_of(c) is not Sort.BOOL:
+        raise SortError(f"{name} needs a formula")
+    if not is_fo(level, c):
+        raise LanguageError(f"{name} needs a first-order formula over {language}")
+    grounded = _ground(c, e if e is not None else Environment())
+    q = eliminate_quantifiers(_linearize(grounded, False), record)
     return TruthValue.of(evaluate(q, {}))
 
 
@@ -538,23 +552,13 @@ def decide_bt6(c: Construction, e: Optional[Environment] = None) -> TruthValue:
     """Decide a formula of the 0/successor/+ language, grounding free
     variables through ``e``.  Always returns one of the two truth values
     and agrees with standard-model truth."""
-    e = e if e is not None else Environment()
-    if sort_of(c) is not Sort.BOOL:
-        raise SortError("decide_bt6 needs a formula")
-    if not is_fo(LangLevel.L2, c):
-        raise LanguageError("decide_bt6 needs a first-order formula over 0, successor and +")
-    return _decide(c, e)
+    return _decide(c, e, LangLevel.L2)
 
 
 def decide_bt5(c: Construction, e: Optional[Environment] = None) -> TruthValue:
     """Decide a formula of the 0/successor language (restriction of
     :func:`decide_bt6` to the smaller language)."""
-    e = e if e is not None else Environment()
-    if sort_of(c) is not Sort.BOOL:
-        raise SortError("decide_bt5 needs a formula")
-    if not is_fo(LangLevel.L1, c):
-        raise LanguageError("decide_bt5 needs a first-order formula over 0 and successor")
-    return _decide(c, e)
+    return _decide(c, e, LangLevel.L1)
 
 
 def compile_oracle(c: Construction, bound: int) -> Callable[[Environment], bool]:
@@ -602,11 +606,4 @@ def decide_bt6_with_bound(
     """Like :func:`decide_bt6` but also reports the per-sentence
     sufficiency bound for the bounded oracle (None when no uniform
     bound exists)."""
-    e = e if e is not None else Environment()
-    if sort_of(c) is not Sort.BOOL:
-        raise SortError("decide_bt6 needs a formula")
-    if not is_fo(LangLevel.L2, c):
-        raise LanguageError("decide_bt6 needs a first-order formula over 0, successor and +")
-    records: list[Elimination] = []
-    verdict = _decide(c, e, records)
-    return verdict, sufficiency_bound(records)
+    return _decide(c, e, LangLevel.L2, records := []), sufficiency_bound(records)

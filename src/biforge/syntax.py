@@ -198,14 +198,6 @@ def sort_of(c: Construction) -> Sort:
     raise SortError(f"not a construction: {c!r}")
 
 
-def is_well_sorted(c: Construction) -> bool:
-    try:
-        sort_of(c)
-        return True
-    except SortError:
-        return False
-
-
 def quote_unary(n: int) -> Construction:
     """The canonical unary numeral: ``n`` successors stacked on zero."""
     if n < 0:

@@ -122,15 +122,11 @@ class RandomizedModelCheck:
     bound: int
 
     def __post_init__(self):
-        _check_sampling(self.samples, self.bound)
-
-
-def _check_sampling(samples: int, bound: int) -> None:
-    """Reject a sample count that would check nothing, or a negative bound."""
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    if bound < 0:
-        raise ValueError(f"bound must be a natural, got {bound}")
+        # Reject a sample count that would check nothing, or a negative bound.
+        if self.samples < 1:
+            raise ValueError(f"samples must be positive, got {self.samples}")
+        if self.bound < 0:
+            raise ValueError(f"bound must be a natural, got {self.bound}")
 
 
 DischargePolicy = Union[DecideL2, RandomizedModelCheck]
@@ -185,26 +181,13 @@ def translate(c: Construction, symbol_map: tuple[tuple[str, str], ...]) -> Const
                 return image("+", _BINARY_OPS)(go(l), go(r))
             case Times(l, r):
                 return image("*", _BINARY_OPS)(go(l), go(r))
-            case Var(_):
-                return node
-        # logical structure is preserved verbatim
-        match node:
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
+            # logical structure is preserved verbatim
+            case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+                return type(node)(go(l), go(r))
             case Not(a):
                 return Not(go(a))
-            case Implies(l, r):
-                return Implies(go(l), go(r))
-            case Eq(l, r):
-                return Eq(go(l), go(r))
-            case Forall(v, b):
-                return Forall(v, go(b))
-            case Exists(v, b):
-                return Exists(v, go(b))
-            case Abs(v, b):
-                return Abs(v, go(b))
+            case Forall(v, b) | Exists(v, b) | Abs(v, b):
+                return type(node)(v, go(b))
         return node
 
     return go(c)
@@ -213,16 +196,8 @@ def translate(c: Construction, symbol_map: tuple[tuple[str, str], ...]) -> Const
 # ---------------------------------------------------------------------------
 # The named axioms, closed over their variables.
 
-def _x() -> Construction:
-    return Var("x")
-
-
-def _y() -> Construction:
-    return Var("y")
-
-
 def _axioms() -> dict[str, Construction]:
-    x, y = _x(), _y()
+    x, y = Var("x"), Var("y")
     return {
         "succ-nonzero": Forall("x", Not(Eq(Succ(x), Zero()))),
         "succ-injective": Forall("x", Forall("y", Implies(Eq(Succ(x), Succ(y)), Eq(x, y)))),
@@ -412,6 +387,17 @@ def _model_check(
     return None
 
 
+def _sampled(subject: str, method: str, formula: Construction,
+             check: RandomizedModelCheck, rng: random.Random) -> ReportEntry:
+    """Report entry of a randomized model check, labelled
+    ``method[samples x bound]``."""
+    witness = _model_check(formula, check.samples, check.bound, rng)
+    return ReportEntry(
+        subject, f"{method}[{check.samples}x{check.bound}]", witness is None,
+        "" if witness is None else f"counterexample {witness!r}",
+    )
+
+
 def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
                  seed: int = 0) -> Report:
     """Validate every axiom of a first-order theory in the standard model.
@@ -422,7 +408,7 @@ def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
     """
     if t.level is None:
         raise ValueError("check_axioms needs a first-order theory")
-    _check_sampling(samples, bound)
+    check = RandomizedModelCheck(samples, bound)
     rng = random.Random(seed)
     entries = []
     for name, formula in t.axioms:
@@ -433,14 +419,7 @@ def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
             verdict = decide_bt6(formula)
             entries.append(ReportEntry(name, "decide-bt6", verdict is TruthValue.TRUE))
         else:
-            witness = _model_check(formula, samples, bound, rng)
-            entries.append(
-                ReportEntry(
-                    name, f"bounded-oracle[{samples}x{bound}]",
-                    witness is None,
-                    "" if witness is None else f"counterexample {witness!r}",
-                )
-            )
+            entries.append(_sampled(name, "bounded-oracle", formula, check, rng))
     return Report(f"axiom check for {t.name}", entries)
 
 
@@ -469,6 +448,20 @@ def _schema_predicates(kind: SchemaKind) -> list[Construction]:
     return base + plus + times
 
 
+# Schema instances outside level 2 are model-checked at this size.
+_SCHEMA_CHECK = RandomizedModelCheck(200, 16)
+
+
+def _discharge(subject: str, formula: Construction, policy: DischargePolicy,
+               rng: random.Random) -> ReportEntry:
+    """Discharge one closed formula by its policy."""
+    if isinstance(policy, RandomizedModelCheck):
+        return _sampled(subject, "model-check", formula, policy, rng)
+    if not is_fo(LangLevel.L2, formula):
+        return ReportEntry(subject, "decide-l2", False, "not a level-2 sentence")
+    return ReportEntry(subject, "decide-l2", decide_bt6(formula) is TruthValue.TRUE)
+
+
 def check_morphism(m: Morphism, seed: int = 0) -> Report:
     """Translate each obligation along the symbol map and discharge it by
     its policy; schema obligations run on sampled predicate instances."""
@@ -478,37 +471,13 @@ def check_morphism(m: Morphism, seed: int = 0) -> Report:
         image = translate(ob.formula, m.symbol_map)
         if free_vars(image):
             entries.append(ReportEntry(ob.name, "well-formedness", False, "obligation is open"))
-            continue
-        match ob.policy:
-            case DecideL2():
-                if not is_fo(LangLevel.L2, image):
-                    entries.append(
-                        ReportEntry(ob.name, "decide-l2", False, "not a level-2 sentence")
-                    )
-                    continue
-                verdict = decide_bt6(image)
-                entries.append(ReportEntry(ob.name, "decide-l2", verdict is TruthValue.TRUE))
-            case RandomizedModelCheck(samples, bound):
-                witness = _model_check(image, samples, bound, rng)
-                entries.append(
-                    ReportEntry(
-                        ob.name, f"model-check[{samples}x{bound}]",
-                        witness is None,
-                        "" if witness is None else f"counterexample {witness!r}",
-                    )
-                )
+        else:
+            entries.append(_discharge(ob.name, image, ob.policy, rng))
     for kind in m.schema_obligations:
         for idx, pred in enumerate(_schema_predicates(kind)):
             instance = translate(induction_instance(kind, pred), m.symbol_map)
-            subject = f"{kind.value} instance {idx}"
-            if is_fo(LangLevel.L2, instance):
-                verdict = decide_bt6(instance)
-                entries.append(ReportEntry(subject, "decide-l2", verdict is TruthValue.TRUE))
-            else:
-                witness = _model_check(instance, 200, 16, rng)
-                entries.append(
-                    ReportEntry(subject, "model-check[200x16]", witness is None)
-                )
+            policy = DecideL2() if is_fo(LangLevel.L2, instance) else _SCHEMA_CHECK
+            entries.append(_discharge(f"{kind.value} instance {idx}", instance, policy, rng))
     return Report(f"morphism check for {m.name}", entries)
 
 
@@ -614,13 +583,16 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
         if current is None:
             return
         if current["kind"] == "theory":
-            t = BiformTheory(
-                name=current["name"],
-                level=current["level"],
-                extends=tuple(current["extends"]),
-                axioms=tuple(current["axioms"]),
-                schemas=tuple(current["schemas"]),
-            )
+            try:
+                t = BiformTheory(
+                    name=current["name"],
+                    level=current["level"],
+                    extends=tuple(current["extends"]),
+                    axioms=tuple(current["axioms"]),
+                    schemas=tuple(current["schemas"]),
+                )
+            except ValueError as err:
+                raise ParseError(f"line {current['line']}: {err}", 0) from None
             theories[t.name] = t
         else:
             m = Morphism(
@@ -643,7 +615,7 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
         if head in ("theory", "morphism"):
             close()
             current = {
-                "kind": head, "name": rest, "level": None, "extends": [],
+                "kind": head, "line": lineno, "name": rest, "level": None, "extends": [],
                 "axioms": [], "schemas": [], "map": [], "obligations": [],
                 "source": "", "target": "",
             }
@@ -660,8 +632,11 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
         elif head == "axiom":
             name, _, body = rest.partition(" ")
             current["axioms"].append((name, parse_construction(body)))
-        elif head == "schema":
-            current["schemas"].append(SchemaKind(rest))
+        elif head in ("schema", "schema-obligation"):
+            try:
+                current["schemas"].append(SchemaKind(rest))
+            except ValueError:
+                raise ParseError(f"line {lineno}: unknown schema kind {rest!r}", 0) from None
         elif head == "source":
             current["source"] = rest
         elif head == "target":
@@ -669,8 +644,6 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
         elif head == "map":
             a, _, b = rest.partition(" ")
             current["map"].append((a, b.strip()))
-        elif head == "schema-obligation":
-            current["schemas"].append(SchemaKind(rest))
         elif head == "obligation":
             name, _, tail = rest.partition(" ")
             policy_word, _, tail = tail.partition(" ")

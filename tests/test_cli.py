@@ -259,3 +259,30 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.stdout, done.returncode) == ("#b10\n", 0)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("theory T\n  level 2\n  schema induction-l9\n", "line 3: unknown schema kind"),
+    ("# header\n\ntheory T\n  level 2\n  axiom open (= x z)\n", "line 3: axiom open of T"),
+])
+def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert run(["check-theory", "T", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {line}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "(s " * 3000 + "z" + ")" * 3000],
+    ["decide", "--env", "x=100000", "(exists y (= x (+ y y)))"],
+])
+def test_recursion_limit_is_one_line(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

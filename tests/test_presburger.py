@@ -3,9 +3,9 @@ import pytest
 from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
     Divides, EqZero, LinearTerm, QAtom, QExists, QFalse, QForall, QTrue,
-    TruthValue, bounded_oracle, cooper_eliminate, decide_bt5, decide_bt6,
-    decide_bt6_with_bound, eliminate_quantifiers, evaluate, linearize,
-    negate, q_and, q_or,
+    TruthValue, _mk_div, bounded_oracle, cooper_eliminate, decide_bt5,
+    decide_bt6, decide_bt6_with_bound, eliminate_quantifiers, evaluate,
+    linearize, negate, q_and, q_or,
 )
 from biforge.semantics import Environment
 from biforge.syntax import (
@@ -163,3 +163,23 @@ def test_smart_constructors():
 def test_divides_validation():
     with pytest.raises(ValueError):
         Divides(0, LinearTerm.constant(1))
+
+
+def test_divisibility_atoms_reduce_by_their_gcd():
+    # 4 | 2x + 2 is 2 | x + 1; 2 | 2x always holds.
+    assert _mk_div(4, LinearTerm.make({"x": 2}, 2)) == QAtom(Divides(2, LinearTerm.make({"x": 1}, 1)))
+    assert _mk_div(2, LinearTerm.make({"x": 2}, 0)) == QTrue()
+
+
+@pytest.mark.parametrize("decide, name, language", [
+    (decide_bt5, "decide_bt5", "0 and successor"),
+    (decide_bt6, "decide_bt6", "0, successor and +"),
+    (decide_bt6_with_bound, "decide_bt6", "0, successor and +"),
+])
+def test_decide_error_messages(decide, name, language):
+    with pytest.raises(SortError) as err:
+        decide(Succ(Zero()))
+    assert str(err.value) == f"{name} needs a formula"
+    with pytest.raises(LanguageError) as err:
+        decide(Eq(Times(x, x), x))
+    assert str(err.value) == f"{name} needs a first-order formula over {language}"

@@ -271,3 +271,19 @@ def test_vacuous_model_checks_are_rejected():
 def test_theory_graph_rejects_bad_level(level):
     with pytest.raises(ParseError, match=f"line 2: bad level '{level}'"):
         parse_theory_graph(f"theory T\n  level {level}\n")
+
+
+def test_graph_morphism_reports_open_and_non_level_2_obligations():
+    text = (
+        "morphism M\n"
+        "  source BT3\n"
+        "  target BT3\n"
+        "  obligation open-one decide-l2 (= x z)\n"
+        "  obligation product decide-l2 (forall x (= (* x z) z))\n"
+    )
+    _, morphisms = parse_theory_graph(text)
+    assert check_morphism(morphisms["M"]).render() == (
+        "morphism check for M\n"
+        "  open-one: Failed(well-formedness) obligation is open\n"
+        "  product: Failed(decide-l2) not a level-2 sentence"
+    )
