@@ -2,10 +2,10 @@
 
 Exit codes: 0 success; 1 a check report contains failures or a decision
 misses ``--expect``; 2 usage, parse or sort error, a bad bound or sample
-count, an unwritable ``--out`` file, or input nested too deeply for the
-interpreter's recursion limit; 3 language, recognizer or strategy
-violation; 4 stuck rewrite.  Nothing is written to disk unless ``--out``
-is given.
+count, an unreadable ``--graph`` or unwritable ``--out`` file, or input
+nested too deeply for the interpreter's recursion limit; 3 language,
+recognizer or strategy violation; 4 stuck rewrite.  Nothing is written
+to disk unless ``--out`` is given.
 """
 
 from __future__ import annotations
@@ -174,7 +174,11 @@ def _lookup(args, index: int, kind: str, builtin):
     the ``--graph`` file when one is given, else the built-in one."""
     if args.graph is None:
         return builtin(args.name)
-    records = parse_theory_graph(Path(args.graph).read_text())[index]
+    try:
+        text = Path(args.graph).read_text()
+    except OSError as err:
+        raise ValueError(f"cannot read {args.graph}: {err.strerror}") from None
+    records = parse_theory_graph(text)[index]
     if args.name not in records:
         raise ParseError(f"no {kind} {args.name!r} in {args.graph}", 0)
     return records[args.name]

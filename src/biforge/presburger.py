@@ -369,13 +369,18 @@ def _atoms(f: QFormula) -> Iterator[LinearAtom]:
 
 
 def _map_atoms(fn, f: QFormula) -> QFormula:
+    """``f`` with each atom replaced by ``fn`` of it, folded.  A
+    conjunction stops at a false conjunct and a disjunction at a true
+    one, so ``fn`` must have no side effects."""
     match f:
         case QAtom(a):
             return fn(a)
         case QAnd(l, r):
-            return q_and(_map_atoms(fn, l), _map_atoms(fn, r))
+            l = _map_atoms(fn, l)
+            return l if isinstance(l, QFalse) else q_and(l, _map_atoms(fn, r))
         case QOr(l, r):
-            return q_or(_map_atoms(fn, l), _map_atoms(fn, r))
+            l = _map_atoms(fn, l)
+            return l if isinstance(l, QTrue) else q_or(l, _map_atoms(fn, r))
         case QTrue() | QFalse():
             return f
         case _:
@@ -407,16 +412,19 @@ def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
     raise AssertionError("equalities must be lowered before coefficient unification")
 
 
-def _substitute_test(atom: LinearAtom, v: str, b: LinearTerm, j: int) -> QFormula:
-    c = atom.term.coeff(v)
-    if c == 0:
+def _place_test(
+    atom: LinearAtom, moved: dict[LinearAtom, tuple[int, LinearTerm]], j: int
+) -> QFormula:
+    """``atom`` with the eliminated variable replaced by a test point
+    plus ``j``.  ``moved`` maps each atom that mentions the variable to
+    its coefficient ``c`` and its term with the test point already put
+    in, so only the constant moves, by ``c * j``."""
+    hit = moved.get(atom)
+    if hit is None:
         return QAtom(atom)
-    t = atom.term.drop(v) + b.shift(j).scale(c)
-    if isinstance(atom, LtZero):
-        return _mk_lt(t)
-    if isinstance(atom, Divides):
-        return _mk_div(atom.d, t)
-    raise AssertionError("equalities must be lowered before substitution")
+    c, t = hit
+    t = LinearTerm(t.coeffs, t.const + c * j)
+    return _mk_div(atom.d, t) if isinstance(atom, Divides) else _mk_lt(t)
 
 
 def cooper_eliminate(
@@ -431,6 +439,14 @@ def cooper_eliminate(
     The existential distributes over top-level disjunctions, processed
     left to right; each branch then gets its own, smaller test-point
     set, which keeps nested eliminations from multiplying out.
+
+    The residue is the disjunction, over test points ``b`` and period
+    steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  Each
+    atom on ``v`` is split once and each test point put in once per
+    atom; a period step only shifts the constant.  The residue is
+    ``QTrue`` as soon as one branch folds to it (when ``v`` is the last
+    free variable every branch is a truth value), and the
+    ``Elimination`` record lists every test point either way.
     """
     if isinstance(matrix, QOr):
         seen: set = set()
@@ -452,25 +468,26 @@ def cooper_eliminate(
     if m > 1:
         matrix = q_and(matrix, QAtom(Divides(m, LinearTerm.variable(v))))
 
-    lowers: list[LinearTerm] = []
-    moduli = [1]
+    # Split each distinct atom on v once into its coefficient and rest.
+    rests: dict[LinearAtom, tuple[int, LinearTerm]] = {}
     for atom in _atoms(matrix):
         c = atom.term.coeff(v)
-        if c == 0:
-            continue
-        if isinstance(atom, LtZero) and c == -1:
-            lowers.append(atom.term.drop(v))
-        elif isinstance(atom, Divides):
-            moduli.append(atom.d)
-    delta = lcm(*moduli)
-    tests = sorted(set(lowers), key=lambda t: (t.coeffs, t.const))
+        if c != 0 and atom not in rests:
+            rests[atom] = (c, atom.term.drop(v))
+    lowers = {rest for atom, (c, rest) in rests.items() if isinstance(atom, LtZero) and c == -1}
+    delta = lcm(1, *(atom.d for atom in rests if isinstance(atom, Divides)))
+    tests = sorted(lowers, key=lambda t: (t.coeffs, t.const))
+    if _record is not None:
+        _record.append(Elimination(v, tuple(tests), delta))
 
     branches = []
     for b in tests:
+        moved = {atom: (c, rest + b.scale(c)) for atom, (c, rest) in rests.items()}
         for j in range(1, delta + 1):
-            branches.append(_map_atoms(lambda a, _b=b, _j=j: _substitute_test(a, v, _b, _j), matrix))
-    if _record is not None:
-        _record.append(Elimination(v, tuple(tests), delta))
+            branch = _map_atoms(lambda a: _place_test(a, moved, j), matrix)
+            if isinstance(branch, QTrue):
+                return _TRUE
+            branches.append(branch)
     return q_or_all(branches)
 
 

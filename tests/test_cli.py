@@ -214,6 +214,20 @@ def test_out_to_a_directory_is_an_error(tmp_path, capsys):
     assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("command, name", [
+    ("check-theory", "BT1"),
+    ("check-morphism", "BT4-to-BT7"),
+])
+@pytest.mark.parametrize("missing", [True, False])
+def test_unreadable_graph_file_is_one_line(tmp_path, capsys, command, name, missing):
+    path = tmp_path / "absent.txt" if missing else tmp_path
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert run([command, name, "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: {reason}\n"
+
+
 def test_rewrite_flag_does_not_stick(monkeypatch, capsys):
     import biforge.cli as cli
 

@@ -1,17 +1,22 @@
+import random
+from math import lcm
+
 import pytest
 
+from biforge import presburger
 from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
-    Divides, EqZero, LinearTerm, QAtom, QExists, QFalse, QForall, QTrue,
-    TruthValue, _mk_div, bounded_oracle, cooper_eliminate, decide_bt5,
-    decide_bt6, decide_bt6_with_bound, eliminate_quantifiers, evaluate,
-    linearize, negate, q_and, q_or,
+    Divides, Elimination, EqZero, LinearTerm, LtZero, QAnd, QAtom, QExists,
+    QFalse, QForall, QOr, QTrue, TruthValue, _atoms, _gather, _lower_equality,
+    _map_atoms, _mk_div, _mk_lt, _unify_coefficient, bounded_oracle,
+    cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
+    eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or, q_or_all,
 )
 from biforge.semantics import Environment
 from biforge.syntax import (
     Eq, Exists, Forall, Not, Or, Plus, Succ, Times, Var, Zero, quote_unary,
 )
-from .conftest import random_sentence
+from .conftest import random_matrix, random_sentence
 
 x = Var("x")
 y = Var("y")
@@ -183,3 +188,107 @@ def test_decide_error_messages(decide, name, language):
     with pytest.raises(LanguageError) as err:
         decide(Eq(Times(x, x), x))
     assert str(err.value) == f"{name} needs a first-order formula over {language}"
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination: the per-branch substitution that
+# ``cooper_eliminate`` replaced, rebuilding every atom once per test point
+# and period step.  The kernel must give equal residues and records.
+
+def _substitute_test(atom, v, b, j):
+    c = atom.term.coeff(v)
+    if c == 0:
+        return QAtom(atom)
+    t = atom.term.drop(v) + b.shift(j).scale(c)
+    if isinstance(atom, LtZero):
+        return _mk_lt(t)
+    if isinstance(atom, Divides):
+        return _mk_div(atom.d, t)
+    raise AssertionError("equalities must be lowered before substitution")
+
+
+def reference_cooper_eliminate(v, matrix, _record=None):
+    if isinstance(matrix, QOr):
+        flat = []
+        _gather(QOr, matrix, set(), flat)
+        return q_or_all([reference_cooper_eliminate(v, part, _record) for part in flat])
+    matrix = _map_atoms(lambda a: _lower_equality(a, v), matrix)
+    matrix = q_and(matrix, QAtom(LtZero(LinearTerm.variable(v, -1).shift(-1))))
+    if isinstance(matrix, (QTrue, QFalse)):
+        if _record is not None:
+            _record.append(Elimination(v, (), 1))
+        return matrix
+    coefficients = {abs(a.term.coeff(v)) for a in _atoms(matrix) if a.term.coeff(v)}
+    m = lcm(*coefficients) if coefficients else 1
+    matrix = _map_atoms(lambda a: _unify_coefficient(a, v, m), matrix)
+    if m > 1:
+        matrix = q_and(matrix, QAtom(Divides(m, LinearTerm.variable(v))))
+    lowers, moduli = [], [1]
+    for atom in _atoms(matrix):
+        c = atom.term.coeff(v)
+        if c == 0:
+            continue
+        if isinstance(atom, LtZero) and c == -1:
+            lowers.append(atom.term.drop(v))
+        elif isinstance(atom, Divides):
+            moduli.append(atom.d)
+    delta = lcm(*moduli)
+    tests = sorted(set(lowers), key=lambda t: (t.coeffs, t.const))
+    branches = []
+    for b in tests:
+        for j in range(1, delta + 1):
+            branches.append(_map_atoms(lambda a, _b=b, _j=j: _substitute_test(a, v, _b, _j), matrix))
+    if _record is not None:
+        _record.append(Elimination(v, tuple(tests), delta))
+    return q_or_all(branches)
+
+
+def prenex_corpus(seed, q, depth, count):
+    """``count`` closed prenex sentences of ``q`` quantifiers over x, y,
+    w, u with matrices of the given depth."""
+    rng = random.Random(seed)
+    names = ["x", "y", "w", "u"][:q]
+    out = []
+    for _ in range(count):
+        body = random_matrix(rng, names, depth)
+        for v in reversed(names):
+            body = (Forall if rng.random() < 0.5 else Exists)(v, body)
+        out.append(body)
+    return out
+
+
+def _both(f, monkeypatch):
+    """Residue and records of ``f`` under the kernel and the reference."""
+    records = []
+    residue = eliminate_quantifiers(f, records)
+    with monkeypatch.context() as m:
+        m.setattr(presburger, "cooper_eliminate", reference_cooper_eliminate)
+        reference_records = []
+        reference = eliminate_quantifiers(f, reference_records)
+    return (residue, records), (reference, reference_records)
+
+
+@pytest.mark.parametrize("seed, q, depth, count", [
+    ("decide/q3", 3, 2, 100),
+    ("decide/tail", 4, 3, 12),
+])
+def test_elimination_matches_reference(seed, q, depth, count, monkeypatch):
+    # Each sentence closed, and with its outer quantifier stripped so the
+    # residue keeps a free variable.
+    for s in prenex_corpus(seed, q, depth, count):
+        for f in (linearize(s), linearize(s.body)):
+            got, want = _both(f, monkeypatch)
+            assert got == want
+
+
+def test_short_circuit_keeps_every_test_point(monkeypatch):
+    # exists y. y < 3 and (y = 0 or x < y): the first branch, y = 0, is
+    # already true, before the test point x is tried.
+    matrix = QAnd(
+        QAtom(LtZero(LinearTerm.make({"y": 1}, -3))),
+        QOr(QAtom(EqZero(LinearTerm.variable("y"))),
+            QAtom(LtZero(LinearTerm.make({"x": 1, "y": -1}, 0)))),
+    )
+    got, want = _both(QExists("y", matrix), monkeypatch)
+    assert got == want == (
+        QTrue(), [Elimination("y", (LinearTerm.constant(-1), LinearTerm.variable("x")), 1)])
