@@ -1,14 +1,17 @@
 """Binary numerals and the numeral arithmetic transformers.
 
 Two routes compute sums of numerals and are cross-checked against each
-other: a direct algorithm (:func:`bplus`, a ripple-carry loop over both
-digit tuples, with :func:`btimes` a shift-and-add loop over it), and a
-conditional rewrite engine (:func:`bplus_rewrite`) that applies the
-eleven numeral addition rules with first-match rule order and
+other: a direct algorithm (:func:`bplus`, and :func:`btimes` over it),
+and a conditional rewrite engine (:func:`bplus_rewrite`) that applies
+the eleven numeral addition rules with first-match rule order and
 leftmost-innermost redex selection.  The rule set is implemented exactly
 as stated, including a rule whose left-hand side duplicates an earlier
 rule's; as a result the rewrite route is not complete and can report a
 stuck term, which callers are expected to surface rather than hide.
+
+The direct route computes on Python ints, padding each result to the
+length its defining clauses give.  One walk down a numeral term's
+``(v + v) + w`` layers both recognizes it and reads its digits.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ class BinDigit(enum.IntEnum):
     D1 = 1
 
 
-_DIGIT_OF = (BinDigit.D0, BinDigit.D1)
-_D0, _D1 = _DIGIT_OF
+_D0, _D1 = BinDigit.D0, BinDigit.D1
 _MEMBERS_ONLY = {BinDigit}
 
 
@@ -69,79 +71,62 @@ def binnum(digits: Iterable[int]) -> BinNum:
     return BinNum(tuple(digits))
 
 
-# Raw-tuple helpers carry the loops; public operations wrap them.  They
-# return exactly the digit tuples of the clause-by-clause recursions in
-# the docstrings of :func:`bplus` and :func:`btimes`, padding included.
+# Raw-tuple helpers compute on Python ints and emit the digit tuple
+# once; public operations wrap them.  They return exactly the digit
+# tuples of the clause-by-clause recursions in the docstrings of
+# :func:`bplus` and :func:`btimes`: the int's digits, padded with high
+# zeros to the length those clauses give.
 
-def _succ(d: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
-    for i, digit in enumerate(d):
-        if not digit:
-            return (_D0,) * i + (_D1,) + d[i + 1:]
-    return (_D0,) * len(d) + (_D1,)
+_BYTE_CHAR = bytes.maketrans(b"\0\1", b"01")
+_CHAR_DIGIT = {"0": _D0, "1": _D1}
 
 
-def _shift(d: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
-    return (_D0,) + d
+def _value(d: tuple[BinDigit, ...]) -> int:
+    return int(bytes(d)[::-1].translate(_BYTE_CHAR), 2)
+
+
+def _of_value(v: int, length: int = 1) -> tuple[BinDigit, ...]:
+    """The digits of ``v``, least-significant first, padded to ``length``."""
+    digits = tuple(map(_CHAR_DIGIT.__getitem__, bin(v)[:1:-1]))
+    return digits + (_D0,) * (length - len(digits))
 
 
 def _bplus(a: tuple[BinDigit, ...], b: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
-    # Ripple carry while both operands have more than one digit left;
-    # the leftover single digit and the carry are then added to the other
-    # operand's remaining digits by successor steps.
-    low = []
-    carry = 0
-    last = min(len(a), len(b)) - 1
-    for i in range(last):
-        total = a[i] + b[i] + carry
-        low.append(_DIGIT_OF[total & 1])
-        carry = total >> 1
-    if len(a) - last == 1:
-        steps, high = a[last] + carry, b[last:]
-    else:
-        steps, high = b[last] + carry, a[last:]
-    for _ in range(steps):
-        high = _succ(high)
-    return (*low, *high)
+    return _of_value(_value(a) + _value(b), max(len(a), len(b)))
 
 
 def _btimes(x: tuple[BinDigit, ...], y: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
     if len(y) == 1:
         return x if y[0] else (_D0,)
-    product = y if x[-1] else (_D0,)
-    for digit in reversed(x[:-1]):
-        product = _shift(product)
-        if digit:
-            product = _bplus(product, y)
-    return product
+    n, ly, vx = len(x), len(y), _value(x)
+    if not vx:
+        return (_D0,) * n
+    # The clauses read x from its top digit down.  Its t high zeros give
+    # t zeros; its top one digit then gives y's length, or t + 1 if that
+    # is more; each lower digit shifts once.  A sum lengthens the result
+    # beyond that only where its value needs the digits.
+    t = n - vx.bit_length()
+    return _of_value(vx * _value(y), (ly if t == 0 else max(t + 1, ly)) + n - 1 - t)
 
 
 def to_nat(b: BinNum) -> int:
     """Positional value: sum of digit * 2^position from the low end."""
-    value = 0
-    for d in reversed(b.digits):
-        value = value + value + d
-    return int(value)
+    return _value(b.digits)
 
 
 def of_nat(n: int) -> BinNum:
     """Canonical numeral for ``n``: no high zeros except for 0 itself."""
     if n < 0:
         raise ValueError("naturals only")
-    if n == 0:
-        return BinNum((_D0,))
-    digits = []
-    while n:
-        digits.append(_DIGIT_OF[n & 1])
-        n >>= 1
-    return BinNum(tuple(digits))
+    return BinNum(_of_value(n))
 
 
 def succ_b(b: BinNum) -> BinNum:
-    return BinNum(_succ(b.digits))
+    return BinNum(_of_value(to_nat(b) + 1, len(b)))
 
 
 def shift(b: BinNum) -> BinNum:
-    return BinNum(_shift(b.digits))
+    return BinNum((_D0,) + b.digits)
 
 
 def bplus(a: BinNum, b: BinNum) -> BinNum:
@@ -155,8 +140,8 @@ def bplus(a: BinNum, b: BinNum) -> BinNum:
 
     ``[a' d]`` is a numeral of two or more digits with low digit ``d``,
     and ``succ^k`` applies :func:`succ_b` ``k`` times.  The clauses are
-    tried in this order and are computed by one ripple-carry loop; the
-    result keeps the shape they give, padding included.
+    tried in this order; the sum is computed on ints and keeps the shape
+    they give, padding included.
     """
     return BinNum(_bplus(a.digits, b.digits))
 
@@ -171,19 +156,16 @@ def btimes(a: BinNum, b: BinNum) -> BinNum:
         [x' 0] * y   = shift (x' * y)
         [x' 1] * y   = shift (x' * y) + y
 
-    The clauses are tried in this order and are computed by one
-    shift-and-add loop over ``x`` from its top digit down, with
-    :func:`bplus` for the additions.
+    The clauses are tried in this order, with :func:`bplus` for the
+    additions; the product is computed with one int multiplication and
+    keeps the shape they give, padding included.
     """
     return BinNum(_btimes(a.digits, b.digits))
 
 
 def normalize(b: BinNum) -> BinNum:
     """Drop most-significant zeros, keeping at least one digit."""
-    digits = list(b.digits)
-    while len(digits) > 1 and digits[-1] == BinDigit.D0:
-        digits.pop()
-    return BinNum(tuple(digits))
+    return BinNum(_of_value(to_nat(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,46 +182,63 @@ def to_construction(b: BinNum) -> Construction:
     construction, so the checked :func:`biforge.syntax.bnat` round would
     only re-walk the shared subterm.
     """
-    term: Optional[Construction] = None
+    term: Construction = _ZERO
     for d in reversed(b.digits):
-        digit = _ONE if d else _ZERO
-        high = term if term is not None else _ZERO
-        term = Plus(Plus(high, high), digit)
-    assert term is not None
+        term = Plus(Plus(term, term), _ONE if d else _ZERO)
     return term
+
+
+def _digit(w: Construction) -> Optional[BinDigit]:
+    """The digit that the digit term ``w`` (zero or the successor of
+    zero) stands for, else None.  The type tests are exact: dataclass
+    equality requires the same class, and Zero has no fields."""
+    if type(w) is Zero:
+        return _D0
+    if type(w) is Succ and type(w.arg) is Zero:
+        return _D1
+    return None
+
+
+def _read(c: Construction) -> tuple[list[BinDigit], Optional[Construction]]:
+    """Walk ``(v + v) + w`` layers from the top: the digits read, least-
+    significant first, and None when ``c`` is a numeral term, else the
+    first node that breaks the grammar."""
+    digits: list[BinDigit] = []
+    while True:
+        if not isinstance(c, Plus):
+            return digits, c
+        inner = c.lhs
+        if not isinstance(inner, Plus):
+            return digits, inner
+        v1, v2, w = inner.lhs, inner.rhs, c.rhs
+        if v1 is not v2 and v1 != v2:
+            return digits, inner
+        d = _digit(w)
+        if d is None:
+            return digits, w
+        digits.append(d)
+        if type(v1) is Zero:
+            return digits, None
+        c = v1
+
+
+def _read_or_raise(c: Construction, what: str) -> list[BinDigit]:
+    digits, stop = _read(c)
+    if stop is not None:
+        # Names the node instead of printing the term: a shared numeral
+        # DAG prints in time and space exponential in its digit count.
+        raise NotBnum(f"{what}: {type(stop).__name__} node at digit {len(digits)}")
+    return digits
 
 
 def is_bnum(c: Construction) -> bool:
     """Recognize binary-numeral terms: ``(v + v) + w`` with ``w`` a digit
     term and ``v`` either zero or itself a numeral term."""
-    while True:
-        if not isinstance(c, Plus):
-            return False
-        inner = c.lhs
-        if not isinstance(inner, Plus):
-            return False
-        v1, v2, w = inner.lhs, inner.rhs, c.rhs
-        if v1 is not v2 and v1 != v2:
-            return False
-        if w != _ZERO and w != _ONE:
-            return False
-        if v1 == _ZERO:
-            return True
-        c = v1
+    return _read(c)[1] is None
 
 
 def from_construction(c: Construction) -> BinNum:
-    if not is_bnum(c):
-        raise NotBnum(f"not a binary-numeral term: {c!r}")
-    digits: list[BinDigit] = []
-    node = c
-    while True:
-        high = node.lhs.lhs
-        low = node.rhs
-        digits.append(BinDigit.D1 if low == _ONE else BinDigit.D0)
-        if high == _ZERO:
-            return BinNum(tuple(digits))
-        node = high
+    return BinNum(tuple(_read_or_raise(c, "not a binary-numeral term")))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +271,8 @@ _TWO2 = Plus(Plus(_ONE2, _ONE2), _ZERO)    # the (10) numeral term
 def _split_bnat(c: Construction):
     """High part and digit of a ``(v + v) + w`` node, else None."""
     match c:
-        case Plus(Plus(v1, v2), w) if v1 == v2 and (w == _ZERO or w == _ONE):
-            return v1, w
+        case Plus(Plus(v1, v2), w) if (d := _digit(w)) is not None and (v1 is v2 or v1 == v2):
+            return v1, d
     return None
 
 
@@ -299,7 +298,7 @@ def _rule_even_plus_one(a, b):
     if b != _ONE2:
         return None
     parts = _split_bnat(a)
-    if parts and parts[1] == _ZERO and is_bnum(parts[0]):
+    if parts and parts[1] is _D0 and is_bnum(parts[0]):
         return Plus(Plus(parts[0], parts[0]), _ONE)
     return None
 
@@ -308,7 +307,7 @@ def _rule_odd_plus_one(a, b):
     if b != _ONE2:
         return None
     parts = _split_bnat(a)
-    if parts and parts[1] == _ONE and is_bnum(parts[0]):
+    if parts and parts[1] is _D1 and is_bnum(parts[0]):
         return _Digit(_Add(parts[0], _ONE2), _ZERO)
     return None
 
@@ -317,7 +316,7 @@ def _rule_one_plus_even(a, b):
     if a != _ONE2:
         return None
     parts = _split_bnat(b)
-    if parts and parts[1] == _ZERO and is_bnum(parts[0]):
+    if parts and parts[1] is _D0 and is_bnum(parts[0]):
         return Plus(Plus(parts[0], parts[0]), _ONE)
     return None
 
@@ -328,23 +327,23 @@ def _rule_one_plus_even_carry(a, b):
     if a != _ONE2:
         return None
     parts = _split_bnat(b)
-    if parts and parts[1] == _ZERO and is_bnum(parts[0]):
+    if parts and parts[1] is _D0 and is_bnum(parts[0]):
         return _Digit(_Add(parts[0], _ONE2), _ZERO)
     return None
 
 
-def _binary_rule(da: Construction, db: Construction, carry: bool):
+def _binary_rule(da: BinDigit, db: BinDigit, carry: bool):
     def rule(a, b):
         pa = _split_bnat(a)
         pb = _split_bnat(b)
-        if not pa or not pb or pa[1] != da or pb[1] != db:
+        if not pa or not pb or pa[1] is not da or pb[1] is not db:
             return None
         if not (is_bnum(pa[0]) and is_bnum(pb[0])):
             return None
         total = _Add(pa[0], pb[0])
         if carry:
             return _Digit(_Add(total, _ONE2), _ZERO)
-        return _Digit(total, _ONE if (da == _ONE) != (db == _ONE) else _ZERO)
+        return _Digit(total, _ONE if da != db else _ZERO)
 
     return rule
 
@@ -357,10 +356,10 @@ _RULES = (
     _rule_odd_plus_one,         # [u 1] + (1) = [u+(1) 0]
     _rule_one_plus_even,        # (1) + [u 0] = [u 1]
     _rule_one_plus_even_carry,  # shadowed duplicate of the previous rule
-    _binary_rule(_ZERO, _ZERO, carry=False),   # [u 0] + [v 0] = [u+v 0]
-    _binary_rule(_ZERO, _ONE, carry=False),    # [u 0] + [v 1] = [u+v 1]
-    _binary_rule(_ONE, _ZERO, carry=False),    # [u 1] + [v 0] = [u+v 1]
-    _binary_rule(_ONE, _ONE, carry=True),      # [u 1] + [v 1] = [(u+v)+(1) 0]
+    _binary_rule(_D0, _D0, carry=False),   # [u 0] + [v 0] = [u+v 0]
+    _binary_rule(_D0, _D1, carry=False),   # [u 0] + [v 1] = [u+v 1]
+    _binary_rule(_D1, _D0, carry=False),   # [u 1] + [v 0] = [u+v 1]
+    _binary_rule(_D1, _D1, carry=True),    # [u 1] + [v 1] = [(u+v)+(1) 0]
 )
 
 
@@ -400,10 +399,8 @@ def bplus_rewrite(a: Construction, b: Construction) -> Construction:
     stuck term is preserved on the exception as a completeness
     counterexample.
     """
-    if not is_bnum(a):
-        raise NotBnum(f"left operand is not a numeral term: {a!r}")
-    if not is_bnum(b):
-        raise NotBnum(f"right operand is not a numeral term: {b!r}")
+    _read_or_raise(a, "left operand is not a numeral term")
+    _read_or_raise(b, "right operand is not a numeral term")
     result = _reduce(_Add(a, b))
     if not is_bnum(result):
         raise StuckRewrite(result, _render(result))

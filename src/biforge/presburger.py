@@ -397,7 +397,8 @@ def _lower_equality(atom: LinearAtom, v: str) -> QFormula:
 
 def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
     c = atom.term.coeff(v)
-    if c == 0:
+    # With m == 1 only a divisibility atom with coefficient -1 changes.
+    if c == 0 or m == 1 and (c > 0 or isinstance(atom, LtZero)):
         return QAtom(atom)
     k = m // abs(c)
     sign = 1 if c > 0 else -1

@@ -14,7 +14,7 @@ Printing is the exact inverse on canonical output: parse(print(c)) == c.
 
 from __future__ import annotations
 
-from .binum import _DIGIT_OF, BinNum, normalize, of_nat, to_construction
+from .binum import BinNum, _of_value, of_nat, to_construction, to_nat
 from .errors import ParseError
 from .syntax import (
     Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
@@ -55,7 +55,7 @@ def _read_binary_literal(token: str, pos: int) -> BinNum:
     bits = token[2:]
     if not bits or any(b not in "01" for b in bits):
         raise ParseError(f"bad binary literal {token!r}", pos)
-    return BinNum(tuple(_DIGIT_OF[b == "1"] for b in reversed(bits)))
+    return BinNum(_of_value(int(bits, 2), len(bits)))
 
 
 def _read(tokens: list[tuple[str, int]], i: int):
@@ -180,5 +180,4 @@ def parse_binnum(text: str, pos: int = 0) -> BinNum:
 
 def binnum_literal(b: BinNum) -> str:
     """Canonical ``#b`` form, most-significant bit first."""
-    b = normalize(b)
-    return "#b" + "".join(str(int(d)) for d in reversed(b.digits))
+    return "#b" + bin(to_nat(b))[2:]

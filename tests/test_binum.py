@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from biforge.binum import (
 )
 from biforge.errors import NotBnum, StuckRewrite
 from biforge.semantics import Environment, eval_nat
-from biforge.syntax import Plus, Succ, TT, Var, Zero
+from biforge.syntax import Plus, Succ, Times, TT, Var, Zero
 
 D0, D1 = BinDigit.D0, BinDigit.D1
 
@@ -287,3 +288,135 @@ def test_kernel_is_not_bounded_by_the_recursion_limit():
     assert digits_are_members(product)
     assert digits_are_members(of_nat(to_nat(y)))
 
+
+
+# The recognizer as it was first written, kept as a reference for the
+# single walk: dataclass equality against the digit terms, and a second
+# walk to read the digits once the term is recognized.
+
+REF_ZERO, REF_ONE = Zero(), Succ(Zero())
+
+
+def ref_is_bnum(c):
+    while True:
+        if not isinstance(c, Plus):
+            return False
+        inner = c.lhs
+        if not isinstance(inner, Plus):
+            return False
+        v1, v2, w = inner.lhs, inner.rhs, c.rhs
+        if v1 is not v2 and v1 != v2:
+            return False
+        if w != REF_ZERO and w != REF_ONE:
+            return False
+        if v1 == REF_ZERO:
+            return True
+        c = v1
+
+
+def ref_from_construction(c):
+    if not ref_is_bnum(c):
+        raise NotBnum("not a binary-numeral term")
+    digits = []
+    node = c
+    while True:
+        high = node.lhs.lhs
+        low = node.rhs
+        digits.append(BinDigit.D1 if low == REF_ONE else BinDigit.D0)
+        if high == REF_ZERO:
+            return BinNum(tuple(digits))
+        node = high
+
+
+def layer(high, digit):
+    return Plus(Plus(high, high), digit)
+
+
+def near_misses():
+    """Terms that are numerals only in part, and numerals built without
+    sharing, each also one and two numeral layers down."""
+    two = Succ(Succ(Zero()))
+    bare = [Zero(), Succ(Zero()), Var("x"), Times(Zero(), Zero())]
+    for b in all_numerals(3):
+        t = to_construction(b)
+        bare += [
+            Succ(t),
+            # unshared but equal halves
+            Plus(Plus(to_construction(b), to_construction(b)), Zero()),
+            Plus(Plus(t, Plus(t.lhs, t.rhs)), Succ(Zero())),
+            # unequal halves
+            Plus(Plus(t, to_construction(shift(b))), Zero()),
+            Plus(Plus(t, Zero()), Zero()),
+            # a digit that is no digit term
+            layer(t, two),
+            layer(t, Var("x")),
+            layer(t, t),
+            # an inner node that is no sum
+            Plus(Times(t, t), Zero()),
+            Plus(Succ(t), Succ(Zero())),
+            Plus(t, Zero()),
+        ]
+    bare += [layer(Zero(), two), layer(Zero(), Var("x")), Plus(Times(Zero(), Zero()), Zero())]
+    for t in bare:
+        yield t
+        yield layer(t, Zero())
+        yield layer(layer(t, Succ(Zero())), Zero())
+
+
+def test_recognizer_matches_reference():
+    terms = [to_construction(b) for b in all_numerals(8)]
+    terms += near_misses()
+    accepted = 0
+    for c in terms:
+        verdict = ref_is_bnum(c)
+        assert is_bnum(c) == verdict, c
+        if verdict:
+            accepted += 1
+            got = from_construction(c)
+            assert got.digits == ref_from_construction(c).digits, c
+            assert digits_are_members(got)
+        else:
+            with pytest.raises(NotBnum):
+                from_construction(c)
+    assert 510 < accepted < len(terms)
+
+
+def test_not_bnum_messages_are_bounded():
+    # The operand is a DAG of 18 shared layers: printing it as a tree
+    # takes megabytes.
+    numeral = to_construction(of_nat(2 ** 18 - 1))
+    one = to_construction(binnum([1]))
+    deep = Plus(Plus(Zero(), Zero()), Succ(Succ(Zero())))
+    for _ in range(18):
+        deep = layer(deep, Succ(Zero()))
+    for call in (
+        lambda: from_construction(Succ(numeral)),
+        lambda: bplus_rewrite(Succ(numeral), one),
+        lambda: bplus_rewrite(one, Succ(numeral)),
+        lambda: from_construction(deep),
+        lambda: bplus_rewrite(deep, numeral),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(NotBnum) as info:
+            call()
+        assert time.perf_counter() - start < 0.1
+        assert len(str(info.value)) < 200
+    assert str(info.value) == "left operand is not a numeral term: Succ node at digit 18"
+
+
+def test_kernel_at_a_hundred_thousand_digits():
+    rng = random.Random(100_000)
+    vx = rng.getrandbits(100_000) | 1 << 99_999
+    vy = rng.getrandbits(99_999) | 1 << 99_998
+    x, y = of_nat(vx), of_nat(vy)
+    assert x.digits == tuple(int(ch) for ch in reversed(bin(vx)[2:]))
+    assert digits_are_members(x) and len(y) == 99_999
+    assert to_nat(x) == vx and to_nat(y) == vy
+    padded = binnum(y.digits + (0,) * 1_000)
+    assert to_nat(padded) == vy and of_nat(to_nat(padded)) == y
+    product = btimes(x, y)
+    assert to_nat(product) == vx * vy
+    assert len(product) == (vx * vy).bit_length()
+    assert digits_are_members(product)
+    total = bplus(x, padded)
+    assert to_nat(total) == vx + vy and len(total) == len(padded)
