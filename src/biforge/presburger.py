@@ -286,7 +286,8 @@ def _linear_of_term(c: Construction) -> LinearTerm:
         case Succ(a):
             return _linear_of_term(a).shift(1)
         case Plus(l, r):
-            return _linear_of_term(l) + _linear_of_term(r)
+            left = _linear_of_term(l)
+            return left + (left if r is l else _linear_of_term(r))
         case Var(v):
             return LinearTerm.variable(v)
         case Times(_, _):
@@ -579,8 +580,9 @@ def decide_bt5(c: Construction, e: Optional[Environment] = None) -> TruthValue:
     return _decide(c, e, LangLevel.L1)
 
 
-def compile_oracle(c: Construction, bound: int) -> Callable[[Environment], bool]:
-    """The bounded oracle of a formula, sort-checked and compiled once."""
+def compile_oracle(c: Construction, bound: int) -> Callable[[dict[str, int]], bool]:
+    """The bounded oracle of a formula, sort-checked and compiled once,
+    as a truth function over a dict of natural values."""
     if sort_of(c) is not Sort.BOOL:
         raise SortError("bounded_oracle needs a formula")
     return compile_bool(c, Bounded(bound))
@@ -588,7 +590,7 @@ def compile_oracle(c: Construction, bound: int) -> Callable[[Environment], bool]
 
 def bounded_oracle(c: Construction, e: Environment, bound: int) -> bool:
     """Brute-force reference: quantifiers enumerate 0..bound inclusive."""
-    return compile_oracle(c, bound)(e)
+    return compile_oracle(c, bound)(dict(e.items()))
 
 
 def sufficiency_bound(records: list[Elimination]) -> Optional[int]:

@@ -22,18 +22,20 @@ class LangLevel(enum.IntEnum):
     L3 = 3
 
 
+# The lowest level whose language has each nonlogical binary constant.
+_LEVEL_OF = {Plus: LangLevel.L2, Times: LangLevel.L3}
+
+
 def _constants_within(level: LangLevel, c: Construction) -> bool:
     match c:
         case Zero() | Var(_) | TT() | FF():
             return True
         case Succ(a) | Not(a):
             return _constants_within(level, a)
-        case Plus(l, r):
-            return level >= LangLevel.L2 and _constants_within(level, l) and _constants_within(level, r)
-        case Times(l, r):
-            return level >= LangLevel.L3 and _constants_within(level, l) and _constants_within(level, r)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            return _constants_within(level, l) and _constants_within(level, r)
+        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+            if level < _LEVEL_OF.get(type(c), LangLevel.L1):
+                return False
+            return _constants_within(level, l) and (r is l or _constants_within(level, r))
         case Forall(_, b) | Exists(_, b):
             return _constants_within(level, b)
         case Abs(_, _):

@@ -112,12 +112,12 @@ def _compile_term(c: Construction) -> Callable[[_Scope], int]:
     if t is Succ:
         f = _compile_term(c.arg)
         return lambda env: f(env) + 1
-    if t is Plus:
-        f, g = _compile_term(c.lhs), _compile_term(c.rhs)
-        return lambda env: f(env) + g(env)
-    if t is Times:
-        f, g = _compile_term(c.lhs), _compile_term(c.rhs)
-        return lambda env: f(env) * g(env)
+    if t is Plus or t is Times:
+        f = _compile_term(c.lhs)
+        if c.rhs is c.lhs:  # a shared child is compiled and evaluated once
+            return (lambda env: 2 * f(env)) if t is Plus else (lambda env: f(env) ** 2)
+        g = _compile_term(c.rhs)
+        return (lambda env: f(env) + g(env)) if t is Plus else (lambda env: f(env) * g(env))
     raise SortError(f"eval_nat needs a term, got {t.__name__}")
 
 
@@ -199,12 +199,13 @@ def eval_nat(c: Construction, e: Environment) -> int:
     return _compile_term(c)(dict(e.items()))
 
 
-def compile_bool(c: Construction, s: EvalStrategy = QUANTIFIER_FREE) -> Callable[[Environment], bool]:
-    """Compile a formula once into its truth function over environments."""
-    f = _compile_formula(c, s.bound if isinstance(s, Bounded) else None)
-    return lambda e: f(dict(e.items()))
+def compile_bool(c: Construction, s: EvalStrategy = QUANTIFIER_FREE) -> Callable[[_Scope], bool]:
+    """Compile a formula once into its truth function over a dict from
+    names to naturals (absent names are zero); a call leaves the dict
+    as it found it."""
+    return _compile_formula(c, s.bound if isinstance(s, Bounded) else None)
 
 
 def eval_bool(c: Construction, e: Environment, s: EvalStrategy = QUANTIFIER_FREE) -> bool:
     """Classical two-valued truth of a formula under ``e``."""
-    return compile_bool(c, s)(e)
+    return compile_bool(c, s)(dict(e.items()))

@@ -133,38 +133,23 @@ def parse_construction(text: str) -> Construction:
     return node
 
 
+_HEAD = {ctor: head for table in (_UNARY, _BINARY, _BINDER) for head, ctor in table.items()}
+_HEAD.update({Zero: "z", TT: "tt", FF: "ff"})
+
+
 def to_sexpr(c: Construction) -> str:
     match c:
-        case Zero():
-            return "z"
-        case TT():
-            return "tt"
-        case FF():
-            return "ff"
         case Var(v):
             return v
-        case Succ(a):
-            return f"(s {to_sexpr(a)})"
-        case Not(a):
-            return f"(not {to_sexpr(a)})"
-        case Plus(l, r):
-            return f"(+ {to_sexpr(l)} {to_sexpr(r)})"
-        case Times(l, r):
-            return f"(* {to_sexpr(l)} {to_sexpr(r)})"
-        case And(l, r):
-            return f"(and {to_sexpr(l)} {to_sexpr(r)})"
-        case Or(l, r):
-            return f"(or {to_sexpr(l)} {to_sexpr(r)})"
-        case Implies(l, r):
-            return f"(imp {to_sexpr(l)} {to_sexpr(r)})"
-        case Eq(l, r):
-            return f"(= {to_sexpr(l)} {to_sexpr(r)})"
-        case Forall(v, b):
-            return f"(forall {v} {to_sexpr(b)})"
-        case Exists(v, b):
-            return f"(exists {v} {to_sexpr(b)})"
-        case Abs(v, b):
-            return f"(lambda {v} {to_sexpr(b)})"
+        case Zero() | TT() | FF():
+            return _HEAD[type(c)]
+        case Succ(a) | Not(a):
+            return f"({_HEAD[type(c)]} {to_sexpr(a)})"
+        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+            left = to_sexpr(l)
+            return f"({_HEAD[type(c)]} {left} {left if r is l else to_sexpr(r)})"
+        case Forall(v, b) | Exists(v, b) | Abs(v, b):
+            return f"({_HEAD[type(c)]} {v} {to_sexpr(b)})"
     raise TypeError(f"not a construction: {c!r}")
 
 

@@ -145,57 +145,45 @@ def _expect(child: Construction, want: Sort, context: str) -> None:
         raise SortError(f"{context} needs a {want.value} argument, got {got.value}")
 
 
+# Argument sort, result sort and printed label of each compound node.
+_SIGNATURES = {
+    Succ: (Sort.NAT, Sort.NAT, "s"),
+    Plus: (Sort.NAT, Sort.NAT, "+"),
+    Times: (Sort.NAT, Sort.NAT, "*"),
+    Eq: (Sort.NAT, Sort.BOOL, "="),
+    And: (Sort.BOOL, Sort.BOOL, "and"),
+    Or: (Sort.BOOL, Sort.BOOL, "or"),
+    Not: (Sort.BOOL, Sort.BOOL, "not"),
+    Implies: (Sort.BOOL, Sort.BOOL, "imp"),
+    Forall: (Sort.BOOL, Sort.BOOL, "forall"),
+    Exists: (Sort.BOOL, Sort.BOOL, "exists"),
+    Abs: (Sort.BOOL, Sort.ABS_PRED, "lambda"),
+}
+_LEAF_SORTS = {Zero: Sort.NAT, Var: Sort.NAT, TT: Sort.BOOL, FF: Sort.BOOL}
+
+
 def sort_of(c: Construction) -> Sort:
     """Classify a tree as a term (NAT), a formula (BOOL) or an abstraction.
 
     Raises :class:`SortError` if any subtree is ill-sorted, e.g. a
-    successor applied to a truth constant.
+    successor applied to a truth constant.  A binary node whose two
+    children are one object checks that child once.
     """
-    match c:
-        case Zero() | Var(_):
-            return Sort.NAT
-        case Succ(a):
-            _expect(a, Sort.NAT, "s")
-            return Sort.NAT
-        case Plus(l, r):
-            _expect(l, Sort.NAT, "+")
-            _expect(r, Sort.NAT, "+")
-            return Sort.NAT
-        case Times(l, r):
-            _expect(l, Sort.NAT, "*")
-            _expect(r, Sort.NAT, "*")
-            return Sort.NAT
-        case TT() | FF():
-            return Sort.BOOL
-        case Eq(l, r):
-            _expect(l, Sort.NAT, "=")
-            _expect(r, Sort.NAT, "=")
-            return Sort.BOOL
-        case And(l, r):
-            _expect(l, Sort.BOOL, "and")
-            _expect(r, Sort.BOOL, "and")
-            return Sort.BOOL
-        case Or(l, r):
-            _expect(l, Sort.BOOL, "or")
-            _expect(r, Sort.BOOL, "or")
-            return Sort.BOOL
-        case Not(a):
-            _expect(a, Sort.BOOL, "not")
-            return Sort.BOOL
-        case Implies(l, r):
-            _expect(l, Sort.BOOL, "imp")
-            _expect(r, Sort.BOOL, "imp")
-            return Sort.BOOL
-        case Forall(_, b):
-            _expect(b, Sort.BOOL, "forall")
-            return Sort.BOOL
-        case Exists(_, b):
-            _expect(b, Sort.BOOL, "exists")
-            return Sort.BOOL
-        case Abs(_, b):
-            _expect(b, Sort.BOOL, "lambda")
-            return Sort.ABS_PRED
-    raise SortError(f"not a construction: {c!r}")
+    t = type(c)
+    if t in _LEAF_SORTS:
+        return _LEAF_SORTS[t]
+    if t not in _SIGNATURES:
+        raise SortError(f"not a construction: {c!r}")
+    want, result, label = _SIGNATURES[t]
+    if t is Succ or t is Not:
+        _expect(c.arg, want, label)
+    elif t in _BINDERS:
+        _expect(c.body, want, label)
+    else:
+        _expect(c.lhs, want, label)
+        if c.rhs is not c.lhs:
+            _expect(c.rhs, want, label)
+    return result
 
 
 def quote_unary(n: int) -> Construction:
@@ -228,7 +216,8 @@ def free_vars(c: Construction) -> frozenset[str]:
         case Succ(a) | Not(a):
             return free_vars(a)
         case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            return free_vars(l) | free_vars(r)
+            left = free_vars(l)
+            return left if r is l else left | free_vars(r)
         case Forall(v, b) | Exists(v, b) | Abs(v, b):
             return free_vars(b) - {v}
     raise TypeError(f"not a construction: {c!r}")
@@ -273,22 +262,12 @@ def _subst(c: Construction, v: str, t: Construction, fv_t: frozenset[str]) -> Co
             return t if w == v else c
         case Zero() | TT() | FF():
             return c
-        case Succ(a):
-            return Succ(_subst(a, v, t, fv_t))
-        case Not(a):
-            return Not(_subst(a, v, t, fv_t))
-        case Plus(l, r):
-            return Plus(_subst(l, v, t, fv_t), _subst(r, v, t, fv_t))
-        case Times(l, r):
-            return Times(_subst(l, v, t, fv_t), _subst(r, v, t, fv_t))
-        case And(l, r):
-            return And(_subst(l, v, t, fv_t), _subst(r, v, t, fv_t))
-        case Or(l, r):
-            return Or(_subst(l, v, t, fv_t), _subst(r, v, t, fv_t))
-        case Implies(l, r):
-            return Implies(_subst(l, v, t, fv_t), _subst(r, v, t, fv_t))
-        case Eq(l, r):
-            return Eq(_subst(l, v, t, fv_t), _subst(r, v, t, fv_t))
+        case Succ(a) | Not(a):
+            return type(c)(_subst(a, v, t, fv_t))
+        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+            # equal children stay one object, so a shared numeral stays shared
+            left = _subst(l, v, t, fv_t)
+            return type(c)(left, left if r is l else _subst(r, v, t, fv_t))
         case Forall(w, b) | Exists(w, b) | Abs(w, b):
             ctor = type(c)
             if w == v:
@@ -317,7 +296,8 @@ def _alpha(a, b, env_a, env_b, depth) -> bool:
         case Succ(x) | Not(x):
             return _alpha(x, b.arg, env_a, env_b, depth)
         case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            return _alpha(l, b.lhs, env_a, env_b, depth) and _alpha(r, b.rhs, env_a, env_b, depth)
+            return _alpha(l, b.lhs, env_a, env_b, depth) and (
+                (r is l and b.rhs is b.lhs) or _alpha(r, b.rhs, env_a, env_b, depth))
         case Forall(v, body) | Exists(v, body) | Abs(v, body):
             ea = dict(env_a)
             eb = dict(env_b)

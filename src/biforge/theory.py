@@ -158,6 +158,7 @@ _CONSTANTS_AT = {
 _NULLARY = {"0": Zero}
 _UNARY = {"S": Succ}
 _BINARY_OPS = {"+": Plus, "*": Times}
+_SYMBOL_OF = {ctor: sym for sym, ctor in _BINARY_OPS.items()}
 
 
 def translate(c: Construction, symbol_map: tuple[tuple[str, str], ...]) -> Construction:
@@ -177,13 +178,13 @@ def translate(c: Construction, symbol_map: tuple[tuple[str, str], ...]) -> Const
                 return image("0", _NULLARY)()
             case Succ(a):
                 return image("S", _UNARY)(go(a))
-            case Plus(l, r):
-                return image("+", _BINARY_OPS)(go(l), go(r))
-            case Times(l, r):
-                return image("*", _BINARY_OPS)(go(l), go(r))
-            # logical structure is preserved verbatim
-            case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-                return type(node)(go(l), go(r))
+            case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+                # + and * map through the symbols; connectives and = stay
+                ctor = type(node)
+                if ctor in _SYMBOL_OF:
+                    ctor = image(_SYMBOL_OF[ctor], _BINARY_OPS)
+                left = go(l)
+                return ctor(left, left if r is l else go(r))
             case Not(a):
                 return Not(go(a))
             case Forall(v, b) | Exists(v, b) | Abs(v, b):
@@ -377,13 +378,14 @@ def _model_check(
     formula: Construction, samples: int, bound: int, rng: random.Random
 ) -> Optional[Environment]:
     """Witness environment falsifying the stripped formula, or None; the
-    matrix is compiled once for all samples."""
+    matrix is compiled once for all samples, and each sample is a plain
+    dict of values (an :class:`Environment` is built only for a witness)."""
     names, matrix = _strip_foralls(formula)
     holds = compile_oracle(matrix, bound)
     for _ in range(samples if names else 1):
-        env = Environment({v: rng.randint(0, bound) for v in names})
-        if not holds(env):
-            return env
+        values = {v: rng.randint(0, bound) for v in names}
+        if not holds(values):
+            return Environment(values)
     return None
 
 
