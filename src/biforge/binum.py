@@ -268,22 +268,25 @@ _ONE2 = Plus(Plus(_ZERO, _ZERO), _ONE)     # the (1) numeral term
 _TWO2 = Plus(Plus(_ONE2, _ONE2), _ZERO)    # the (10) numeral term
 
 
+# Every operand a rule sees is a numeral term: bplus_rewrite checks both
+# operands on entry, and each rule's output reduces to a numeral term
+# again.  So an operand always splits, and its high part ``v`` is a
+# numeral term exactly when ``type(v) is not Zero``; the guards test
+# that in O(1) instead of walking ``v``.
+
 def _split_bnat(c: Construction):
-    """High part and digit of a ``(v + v) + w`` node, else None."""
-    match c:
-        case Plus(Plus(v1, v2), w) if (d := _digit(w)) is not None and (v1 is v2 or v1 == v2):
-            return v1, d
-    return None
+    """High part and digit of the numeral term ``(v + v) + w``."""
+    return c.lhs.lhs, _digit(c.rhs)
 
 
 def _rule_right_zero(a, b):
-    if b == _ZERO2 and is_bnum(a):
+    if b == _ZERO2:
         return a
     return None
 
 
 def _rule_left_zero(a, b):
-    if a == _ZERO2 and is_bnum(b):
+    if a == _ZERO2:
         return b
     return None
 
@@ -294,53 +297,27 @@ def _rule_one_one(a, b):
     return None
 
 
-def _rule_even_plus_one(a, b):
-    if b != _ONE2:
-        return None
-    parts = _split_bnat(a)
-    if parts and parts[1] is _D0 and is_bnum(parts[0]):
-        return Plus(Plus(parts[0], parts[0]), _ONE)
-    return None
+def _one_rule(one_left: bool, d: BinDigit, carry: bool):
+    """The rule for ``[u d] + (1)``, or ``(1) + [u d]`` when ``one_left``:
+    ``[u 1]`` without a carry, ``[u+(1) 0]`` with one."""
+    def rule(a, b):
+        one, other = (a, b) if one_left else (b, a)
+        if one != _ONE2:
+            return None
+        high, e = _split_bnat(other)
+        if e is not d or type(high) is Zero:
+            return None
+        return _Digit(_Add(high, _ONE2), _ZERO) if carry else Plus(Plus(high, high), _ONE)
 
-
-def _rule_odd_plus_one(a, b):
-    if b != _ONE2:
-        return None
-    parts = _split_bnat(a)
-    if parts and parts[1] is _D1 and is_bnum(parts[0]):
-        return _Digit(_Add(parts[0], _ONE2), _ZERO)
-    return None
-
-
-def _rule_one_plus_even(a, b):
-    if a != _ONE2:
-        return None
-    parts = _split_bnat(b)
-    if parts and parts[1] is _D0 and is_bnum(parts[0]):
-        return Plus(Plus(parts[0], parts[0]), _ONE)
-    return None
-
-
-def _rule_one_plus_even_carry(a, b):
-    # Stated with the same left-hand side as _rule_one_plus_even, so it
-    # never fires under first-match order; kept for rule-set fidelity.
-    if a != _ONE2:
-        return None
-    parts = _split_bnat(b)
-    if parts and parts[1] is _D0 and is_bnum(parts[0]):
-        return _Digit(_Add(parts[0], _ONE2), _ZERO)
-    return None
+    return rule
 
 
 def _binary_rule(da: BinDigit, db: BinDigit, carry: bool):
     def rule(a, b):
-        pa = _split_bnat(a)
-        pb = _split_bnat(b)
-        if not pa or not pb or pa[1] is not da or pb[1] is not db:
+        (u, d), (v, e) = _split_bnat(a), _split_bnat(b)
+        if d is not da or e is not db or type(u) is Zero or type(v) is Zero:
             return None
-        if not (is_bnum(pa[0]) and is_bnum(pb[0])):
-            return None
-        total = _Add(pa[0], pb[0])
+        total = _Add(u, v)
         if carry:
             return _Digit(_Add(total, _ONE2), _ZERO)
         return _Digit(total, _ONE if da != db else _ZERO)
@@ -349,13 +326,15 @@ def _binary_rule(da: BinDigit, db: BinDigit, carry: bool):
 
 
 _RULES = (
-    _rule_right_zero,           # u + (0) = u
-    _rule_left_zero,            # (0) + u = u
-    _rule_one_one,              # (1) + (1) = (10)
-    _rule_even_plus_one,        # [u 0] + (1) = [u 1]
-    _rule_odd_plus_one,         # [u 1] + (1) = [u+(1) 0]
-    _rule_one_plus_even,        # (1) + [u 0] = [u 1]
-    _rule_one_plus_even_carry,  # shadowed duplicate of the previous rule
+    _rule_right_zero,                      # u + (0) = u
+    _rule_left_zero,                       # (0) + u = u
+    _rule_one_one,                         # (1) + (1) = (10)
+    _one_rule(False, _D0, carry=False),    # [u 0] + (1) = [u 1]
+    _one_rule(False, _D1, carry=True),     # [u 1] + (1) = [u+(1) 0]
+    _one_rule(True, _D0, carry=False),     # (1) + [u 0] = [u 1]
+    # Stated with the same left-hand side as the previous rule, so it
+    # never fires under first-match order; kept for rule-set fidelity.
+    _one_rule(True, _D0, carry=True),      # (1) + [u 0] = [u+(1) 0]
     _binary_rule(_D0, _D0, carry=False),   # [u 0] + [v 0] = [u+v 0]
     _binary_rule(_D0, _D1, carry=False),   # [u 0] + [v 1] = [u+v 1]
     _binary_rule(_D1, _D0, carry=False),   # [u 1] + [v 0] = [u+v 1]

@@ -18,12 +18,11 @@ from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import LanguageError, SortError
-from .recognizers import LangLevel, is_fo
+from .recognizers import LangLevel, _level_of
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Sort, Succ, TT, Times, Var, Zero,
-    free_vars, quote_unary, sort_of, substitute,
+    Sort, TT, Var, _fold, free_vars, quote_unary, sort_of, substitute,
 )
 
 
@@ -279,20 +278,12 @@ def negate(f: QFormula) -> QFormula:
 # ---------------------------------------------------------------------------
 # Translation from constructions.
 
-def _linear_of_term(c: Construction) -> LinearTerm:
-    match c:
-        case Zero():
-            return LinearTerm.constant(0)
-        case Succ(a):
-            return _linear_of_term(a).shift(1)
-        case Plus(l, r):
-            left = _linear_of_term(l)
-            return left + (left if r is l else _linear_of_term(r))
-        case Var(v):
-            return LinearTerm.variable(v)
-        case Times(_, _):
-            raise LanguageError("products are outside the decidable language")
-    raise SortError(f"not a term: {c!r}")
+# Reached only through sort- and level-checked formulas, whose terms hold
+# nothing but zero, variables, successors and sums.
+_linear_of_term = _fold(
+    lambda c: LinearTerm.variable(c.name) if type(c) is Var else LinearTerm.constant(0),
+    lambda c, a, b=None: a.shift(1) if b is None else a + b,
+)
 
 
 def linearize(c: Construction) -> QFormula:
@@ -302,9 +293,13 @@ def linearize(c: Construction) -> QFormula:
     pushed to the atoms, and a negated equality splits into the two
     strict orderings.
     """
-    if not is_fo(LangLevel.L2, c):
+    try:
+        sort = sort_of(c)
+    except SortError:
+        sort = None
+    if sort is None or _level_of(c) > LangLevel.L2:
         raise LanguageError("linearize needs a first-order formula over 0, successor and +")
-    if sort_of(c) is not Sort.BOOL:
+    if sort is not Sort.BOOL:
         raise SortError("linearize needs a formula, not a term")
     return _linearize(c, False)
 
@@ -560,7 +555,7 @@ def _decide(
     name, language = _PROCEDURES[level]
     if sort_of(c) is not Sort.BOOL:
         raise SortError(f"{name} needs a formula")
-    if not is_fo(level, c):
+    if _level_of(c) > level:
         raise LanguageError(f"{name} needs a first-order formula over {language}")
     grounded = _ground(c, e if e is not None else Environment())
     q = eliminate_quantifiers(_linearize(grounded, False), record)

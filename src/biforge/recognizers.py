@@ -11,8 +11,7 @@ import enum
 
 from .errors import SortError
 from .syntax import (
-    Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Sort, Succ, TT, Times, Var, Zero, abs_body, is_abs, sort_of,
+    Abs, Construction, Plus, Times, _fold, abs_body, is_abs, sort_of,
 )
 
 
@@ -22,37 +21,27 @@ class LangLevel(enum.IntEnum):
     L3 = 3
 
 
-# The lowest level whose language has each nonlogical binary constant.
-_LEVEL_OF = {Plus: LangLevel.L2, Times: LangLevel.L3}
+# The lowest level whose language has each nonlogical binary constant;
+# an abstraction is in no level's language, so it sits above them all.
+_LEVEL_OF = {Plus: LangLevel.L2, Times: LangLevel.L3, Abs: LangLevel.L3 + 1}
 
 
-def _constants_within(level: LangLevel, c: Construction) -> bool:
-    match c:
-        case Zero() | Var(_) | TT() | FF():
-            return True
-        case Succ(a) | Not(a):
-            return _constants_within(level, a)
-        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            if level < _LEVEL_OF.get(type(c), LangLevel.L1):
-                return False
-            return _constants_within(level, l) and (r is l or _constants_within(level, r))
-        case Forall(_, b) | Exists(_, b):
-            return _constants_within(level, b)
-        case Abs(_, _):
-            return False
-    raise TypeError(f"not a construction: {c!r}")
+def _node_level(c, a, b=LangLevel.L1):
+    return max(a, b, _LEVEL_OF.get(type(c), LangLevel.L1))
+
+
+# The lowest level whose language holds every constant of a tree.
+_level_of = _fold(lambda c: LangLevel.L1, _node_level)
 
 
 def is_fo(level: LangLevel, c: Construction) -> bool:
     """True iff ``c`` is a well-sorted first-order term or formula whose
     nonlogical constants all belong to ``level``."""
     try:
-        sort = sort_of(c)
+        sort_of(c)
     except SortError:
         return False
-    if sort is Sort.ABS_PRED:
-        return False
-    return _constants_within(level, c)
+    return _level_of(c) <= level
 
 
 def is_fo_abs(level: LangLevel, c: Construction) -> bool:

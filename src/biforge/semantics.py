@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Union
 from .errors import ParseError, QuantifierEncountered, SortError
 from .syntax import (
     Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Succ, TT, Times, Var, Zero,
+    Plus, Succ, TT, Times, Var, Zero, _fold,
 )
 
 
@@ -102,23 +102,28 @@ _Scope = dict
 _MISSING = object()
 
 
-def _compile_term(c: Construction) -> Callable[[_Scope], int]:
+def _term_leaf(c: Construction) -> Callable[[_Scope], int]:
     t = type(c)
     if t is Zero:
         return lambda env: 0
     if t is Var:
         name = c.name
         return lambda env: env.get(name, 0)
-    if t is Succ:
-        f = _compile_term(c.arg)
-        return lambda env: f(env) + 1
-    if t is Plus or t is Times:
-        f = _compile_term(c.lhs)
-        if c.rhs is c.lhs:  # a shared child is compiled and evaluated once
-            return (lambda env: 2 * f(env)) if t is Plus else (lambda env: f(env) ** 2)
-        g = _compile_term(c.rhs)
-        return (lambda env: f(env) + g(env)) if t is Plus else (lambda env: f(env) * g(env))
     raise SortError(f"eval_nat needs a term, got {t.__name__}")
+
+
+def _term_node(c: Construction, f, g=None) -> Callable[[_Scope], int]:
+    t = type(c)
+    if t is Succ:
+        return lambda env: f(env) + 1
+    if t is Plus:  # a shared child (g is f) is evaluated once
+        return (lambda env: 2 * f(env)) if g is f else (lambda env: f(env) + g(env))
+    if t is Times:
+        return (lambda env: f(env) ** 2) if g is f else (lambda env: f(env) * g(env))
+    raise SortError(f"eval_nat needs a term, got {t.__name__}")
+
+
+_compile_term = _fold(_term_leaf, _term_node)
 
 
 def _compile_quantifier(c, bound: Optional[int], existential: bool):

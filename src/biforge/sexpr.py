@@ -14,11 +14,13 @@ Printing is the exact inverse on canonical output: parse(print(c)) == c.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .binum import BinNum, _of_value, of_nat, to_construction, to_nat
 from .errors import ParseError
 from .syntax import (
     Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Succ, TT, Times, Var, Zero,
+    Plus, Succ, TT, Times, Var, Zero, _BINDERS, _fold,
 )
 
 _RESERVED = {
@@ -137,20 +139,20 @@ _HEAD = {ctor: head for table in (_UNARY, _BINARY, _BINDER) for head, ctor in ta
 _HEAD.update({Zero: "z", TT: "tt", FF: "ff"})
 
 
+def _sexpr_node(c: Construction, a: str, b: Optional[str] = None) -> str:
+    head = _HEAD[type(c)]
+    if b is not None:
+        return f"({head} {a} {b})"
+    if type(c) in _BINDERS:
+        return f"({head} {c.var} {a})"
+    return f"({head} {a})"
+
+
+_to_sexpr = _fold(lambda c: c.name if type(c) is Var else _HEAD[type(c)], _sexpr_node)
+
+
 def to_sexpr(c: Construction) -> str:
-    match c:
-        case Var(v):
-            return v
-        case Zero() | TT() | FF():
-            return _HEAD[type(c)]
-        case Succ(a) | Not(a):
-            return f"({_HEAD[type(c)]} {to_sexpr(a)})"
-        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            left = to_sexpr(l)
-            return f"({_HEAD[type(c)]} {left} {left if r is l else to_sexpr(r)})"
-        case Forall(v, b) | Exists(v, b) | Abs(v, b):
-            return f"({_HEAD[type(c)]} {v} {to_sexpr(b)})"
-    raise TypeError(f"not a construction: {c!r}")
+    return _to_sexpr(c)
 
 
 def parse_binnum(text: str, pos: int = 0) -> BinNum:

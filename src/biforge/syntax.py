@@ -136,7 +136,35 @@ Construction = Union[
     TT, FF, And, Or, Not, Implies, Eq, Forall, Exists, Abs,
 ]
 
-_BINDERS = (Forall, Exists, Abs)
+# The node shapes: leaves, one child (``arg``), two (``lhs``, ``rhs``),
+# and binders (``var``, ``body``).
+_LEAVES = frozenset((Zero, Var, TT, FF))
+_UNARIES = frozenset((Succ, Not))
+_BINARIES = frozenset((Plus, Times, And, Or, Implies, Eq))
+_BINDERS = frozenset((Forall, Exists, Abs))
+
+
+def _fold(leaf, node):
+    """The post-order walker that computes ``leaf(c)`` at a leaf and
+    ``node(c, a)`` or ``node(c, a, b)`` at a compound node from the
+    results ``a``, ``b`` of its children.  A binary node whose two
+    children are one object has that child computed once, and then
+    ``b is a``, so a shared numeral layer is walked once."""
+
+    def walk(c):
+        t = type(c)
+        if t in _BINARIES:
+            a = walk(c.lhs)
+            return node(c, a, a if c.rhs is c.lhs else walk(c.rhs))
+        if t in _UNARIES:
+            return node(c, walk(c.arg))
+        if t in _BINDERS:
+            return node(c, walk(c.body))
+        if t in _LEAVES:
+            return leaf(c)
+        raise TypeError(f"not a construction: {c!r}")
+
+    return walk
 
 
 def _expect(child: Construction, want: Sort, context: str) -> None:
@@ -207,20 +235,20 @@ def bnat(x: Construction, y: Construction) -> Construction:
     return Plus(Plus(x, x), y)
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _vars_of_node(c, a, b=None):
+    if b is not None:
+        return a if b is a else a | b
+    return a - {c.var} if type(c) in _BINDERS else a
+
+
+_free_vars = _fold(lambda c: frozenset((c.name,)) if type(c) is Var else _NO_VARS, _vars_of_node)
+
+
 def free_vars(c: Construction) -> frozenset[str]:
-    match c:
-        case Var(v):
-            return frozenset((v,))
-        case Zero() | TT() | FF():
-            return frozenset()
-        case Succ(a) | Not(a):
-            return free_vars(a)
-        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            left = free_vars(l)
-            return left if r is l else left | free_vars(r)
-        case Forall(v, b) | Exists(v, b) | Abs(v, b):
-            return free_vars(b) - {v}
-    raise TypeError(f"not a construction: {c!r}")
+    return _free_vars(c)
 
 
 def is_closed(c: Construction) -> bool:

@@ -27,7 +27,7 @@ from .semantics import Environment
 from .sexpr import parse_construction, to_sexpr
 from .syntax import (
     Abs, And, Construction, Eq, Exists, Forall, Implies, Not, Or,
-    Plus, Succ, Times, Var, Zero, abs_body, free_vars, is_abs, substitute,
+    Plus, Succ, Times, Var, Zero, _fold, abs_body, free_vars, is_abs, substitute,
 )
 
 
@@ -149,12 +149,6 @@ class Morphism:
     schema_obligations: tuple[SchemaKind, ...] = ()
 
 
-_CONSTANTS_AT = {
-    LangLevel.L1: ("0", "S"),
-    LangLevel.L2: ("0", "S", "+"),
-    LangLevel.L3: ("0", "S", "+", "*"),
-}
-
 _NULLARY = {"0": Zero}
 _UNARY = {"S": Succ}
 _BINARY_OPS = {"+": Plus, "*": Times}
@@ -172,26 +166,20 @@ def translate(c: Construction, symbol_map: tuple[tuple[str, str], ...]) -> Const
             raise LanguageError(f"{sym!r} maps to {target!r}, which has the wrong arity")
         return table[target]
 
-    def go(node: Construction) -> Construction:
-        match node:
-            case Zero():
-                return image("0", _NULLARY)()
-            case Succ(a):
-                return image("S", _UNARY)(go(a))
-            case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-                # + and * map through the symbols; connectives and = stay
-                ctor = type(node)
-                if ctor in _SYMBOL_OF:
-                    ctor = image(_SYMBOL_OF[ctor], _BINARY_OPS)
-                left = go(l)
-                return ctor(left, left if r is l else go(r))
-            case Not(a):
-                return Not(go(a))
-            case Forall(v, b) | Exists(v, b) | Abs(v, b):
-                return type(node)(v, go(b))
-        return node
+    def leaf(node: Construction) -> Construction:
+        return image("0", _NULLARY)() if type(node) is Zero else node
 
-    return go(c)
+    def rebuild(node: Construction, a: Construction, b: Optional[Construction] = None):
+        ctor = type(node)
+        if ctor is Succ:
+            return image("S", _UNARY)(a)
+        if b is not None:  # + and * map through the symbols; connectives and = stay
+            if ctor in _SYMBOL_OF:
+                ctor = image(_SYMBOL_OF[ctor], _BINARY_OPS)
+            return ctor(a, b)
+        return Not(a) if ctor is Not else ctor(node.var, a)
+
+    return _fold(leaf, rebuild)(c)
 
 
 # ---------------------------------------------------------------------------

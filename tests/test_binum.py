@@ -190,6 +190,21 @@ def test_rewrite_on_noncanonical_inputs():
         bplus_rewrite(one, padded_three)
 
 
+def test_rewrite_of_a_400_bit_sum_is_not_quadratic():
+    # With a walk of the high part in every rule guard this took 60-80 ms.
+    rng = random.Random(400)
+    va = rng.getrandbits(400) | 1 << 399
+    vb = rng.getrandbits(400) | 1 << 399
+    a, b = to_construction(of_nat(va)), to_construction(of_nat(vb))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = bplus_rewrite(a, b)
+        best = min(best, time.perf_counter() - start)
+    assert to_nat(from_construction(result)) == va + vb
+    assert best < 0.03, f"{best * 1e3:.1f} ms"
+
+
 def test_meaning_formulas_small():
     for a in all_numerals(5):
         va = to_nat(a)

@@ -4,7 +4,10 @@ A ``#b`` literal and ``to_construction`` build each ``(v + v) + d``
 layer with one object for both halves, so a k-bit numeral has about 3k
 distinct nodes but about 3 * 2^k tree positions.  Every walker visits a
 shared child once; these tests pin the cost, the values, and that
-rebuilding walkers keep the halves shared.
+rebuilding walkers keep the halves shared.  Most walkers are callbacks
+of one post-order fold; property tests check them on generated trees of
+all fifteen node kinds, and the last tests pin which of two faults in
+one input a post-order walk reports.
 """
 
 import time
@@ -12,9 +15,10 @@ import time
 import pytest
 
 from biforge import (
-    Environment, Eq, LangLevel, Plus, Sort, Succ, Times, TruthValue, Var, Zero,
-    alpha_equal, decide_bt6, eval_nat, free_vars, is_fo, parse_construction,
-    sort_of, substitute, to_sexpr, translate,
+    FF, TT, Abs, And, Environment, Eq, Exists, Forall, Implies, LangLevel,
+    LanguageError, Not, Or, Plus, Sort, SortError, Succ, Times, TruthValue,
+    Var, Zero, alpha_equal, decide_bt6, eval_nat, free_vars, is_fo,
+    parse_construction, sort_of, substitute, to_sexpr, translate,
 )
 
 SWAP = (("+", "*"), ("*", "+"))
@@ -141,3 +145,152 @@ def test_to_sexpr_of_a_10_bit_literal_is_the_expanded_text():
     assert to_sexpr(c) == text
     assert to_sexpr(control(bits)) == text
     assert parse_construction(text) == c
+
+
+# ---------------------------------------------------------------------------
+# Properties of the folded walkers on generated trees.
+
+NAMES = ("x", "y", "w")
+BINARIES = (Plus, Times, And, Or, Implies, Eq)
+
+
+def constructions():
+    """Well-sorted terms, formulas and abstractions, and unsorted trees
+    of all fifteen node kinds; some binary nodes have one shared child."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    def grow(leaves, unaries, binaries, binders):
+        def extend(kids):
+            options = [
+                st.builds(lambda k, l, r: k(l, r), st.sampled_from(binaries), kids, kids),
+                st.builds(lambda k, c: k(c, c), st.sampled_from(binaries), kids),
+                st.builds(lambda k, c: k(c), st.sampled_from(unaries), kids),
+            ]
+            if binders:
+                options.append(st.builds(lambda k, v, c: k(v, c), st.sampled_from(binders),
+                                         st.sampled_from(NAMES), kids))
+            return st.one_of(options)
+
+        return st.recursive(leaves, extend, max_leaves=8)
+
+    variables = st.sampled_from(NAMES).map(Var)
+    terms = grow(st.builds(Zero) | variables, (Succ,), (Plus, Times), ())
+    atoms = (st.builds(TT) | st.builds(FF) | st.builds(Eq, terms, terms)
+             | terms.map(lambda t: Eq(t, t)))
+    formulas = grow(atoms, (Not,), (And, Or, Implies), (Forall, Exists))
+    unsorted = grow(st.builds(Zero) | st.builds(TT) | st.builds(FF) | variables,
+                    (Succ, Not), BINARIES, (Forall, Exists, Abs))
+    return st.one_of(terms, formulas, formulas.map(lambda f: Abs("x", f)), unsorted)
+
+
+def for_all_constructions(check):
+    hypothesis = pytest.importorskip("hypothesis")
+    # Derandomized, so every run checks the same trees; generation speed
+    # depends on the host's load, so it is not a health check here.
+    settings = hypothesis.settings(
+        max_examples=50, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    settings(hypothesis.given(constructions())(check))()
+
+
+def distinct_nodes(c):
+    found, stack = {}, [c]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack += [getattr(node, f) for f in ("arg", "lhs", "rhs", "body") if hasattr(node, f)]
+    return list(found.values())
+
+
+def shared_pairs_kept(a, b, seen=None):
+    """``a == b`` node for node, and each binary node of ``a`` whose
+    children are one object has the same in ``b``."""
+    seen = set() if seen is None else seen
+    if (id(a), id(b)) in seen:
+        return True
+    seen.add((id(a), id(b)))
+    if type(a) is not type(b):
+        return False
+    if type(a) in BINARIES:
+        if a.lhs is a.rhs and b.lhs is not b.rhs:
+            return False
+        return shared_pairs_kept(a.lhs, b.lhs, seen) and shared_pairs_kept(a.rhs, b.rhs, seen)
+    for field in ("arg", "body"):
+        if hasattr(a, field):
+            return shared_pairs_kept(getattr(a, field), getattr(b, field), seen)
+    return a == b
+
+
+def test_to_sexpr_round_trips_through_the_reader():
+    def check(c):
+        assert parse_construction(to_sexpr(c)) == c
+
+    for_all_constructions(check)
+
+
+def test_translate_by_the_identity_map_rebuilds_an_equal_shared_tree():
+    def check(c):
+        image = translate(c, ())
+        assert image == c
+        assert shared_pairs_kept(c, image)
+
+    for_all_constructions(check)
+
+
+def test_substituting_zero_removes_exactly_that_variable():
+    def check(c):
+        for v in NAMES:
+            assert free_vars(substitute(c, v, Zero())) == free_vars(c) - {v}
+
+    for_all_constructions(check)
+
+
+def test_is_fo_is_monotone_in_the_level_and_rejects_abstractions():
+    def check(c):
+        accepted = [is_fo(level, c) for level in LangLevel]
+        assert accepted == sorted(accepted)
+        if any(type(node) is Abs for node in distinct_nodes(c)):
+            assert not any(accepted)
+
+    for_all_constructions(check)
+
+
+# ---------------------------------------------------------------------------
+# Error precedence.  A post-order walk reports the first fault it meets
+# below before one above; an input with one fault reports it as before.
+
+ONE_FAULT = [
+    (lambda: sort_of(parse_construction("(+ z (s tt))")), SortError,
+     "s needs a nat argument, got bool"),
+    (lambda: eval_nat(parse_construction("(+ z tt)"), Environment()), SortError,
+     "eval_nat needs a term, got TT"),
+    (lambda: eval_nat(parse_construction("(s (not z))"), Environment()), SortError,
+     "eval_nat needs a term, got Not"),
+    (lambda: translate(parse_construction("(= (s x) z)"), (("S", "+"),)), LanguageError,
+     "'S' maps to '+', which has the wrong arity"),
+    (lambda: translate(parse_construction("(= (s x) z)"), (("0", "S"),)), LanguageError,
+     "'0' maps to 'S', which has the wrong arity"),
+]
+
+TWO_FAULTS = [
+    # sort_of is not a fold: it checks the left operand's sort before
+    # walking the right operand.
+    (lambda: sort_of(parse_construction("(+ tt (s tt))")), SortError,
+     "+ needs a nat argument, got bool"),
+    # The fold meets the leaf tt before the node (and tt ff) above it.
+    (lambda: eval_nat(parse_construction("(+ z (and tt ff))"), Environment()), SortError,
+     "eval_nat needs a term, got TT"),
+    (lambda: eval_nat(parse_construction("(forall x (= x x))"), Environment()), SortError,
+     "eval_nat needs a term, got Eq"),
+    # The leaf z maps through 0 before the node (s z) maps through S.
+    (lambda: translate(parse_construction("(= (s z) z)"), (("S", "+"), ("0", "S"))), LanguageError,
+     "'0' maps to 'S', which has the wrong arity"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ONE_FAULT + TWO_FAULTS)
+def test_error_precedence(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
