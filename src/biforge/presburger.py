@@ -22,7 +22,7 @@ from .recognizers import LangLevel, _level_of
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Sort, TT, Var, _fold, free_vars, quote_unary, sort_of, substitute,
+    Sort, TT, Var, _fold, free_vars, sort_of,
 )
 
 
@@ -301,10 +301,12 @@ def linearize(c: Construction) -> QFormula:
         raise LanguageError("linearize needs a first-order formula over 0, successor and +")
     if sort is not Sort.BOOL:
         raise SortError("linearize needs a formula, not a term")
-    return _linearize(c, False)
+    return _linearize(c, False, {})
 
 
-def _linearize(c: Construction, neg: bool) -> QFormula:
+def _linearize(c: Construction, neg: bool, values: dict[str, int]) -> QFormula:
+    """``c``, or its negation when ``neg``, over linear atoms, with each
+    free variable of ``values`` replaced by its value."""
     match c:
         case TT():
             return _FALSE if neg else _TRUE
@@ -312,29 +314,34 @@ def _linearize(c: Construction, neg: bool) -> QFormula:
             return _TRUE if neg else _FALSE
         case Eq(l, r):
             t = _linear_of_term(l) - _linear_of_term(r)
+            if values:
+                # values go into the constant before _mk_* reduce it by the gcd
+                t = LinearTerm(tuple(p for p in t.coeffs if p[0] not in values),
+                               t.const + sum(k * values.get(v, 0) for v, k in t.coeffs))
             if neg:
                 return q_or(_mk_lt(t), _mk_lt(-t))
             return _mk_eq(t)
-        case Not(a):
-            return _linearize(a, not neg)
+        case Not():
+            while type(c) is Not:
+                c, neg = c.arg, not neg
+            return _linearize(c, neg, values)
         case And(l, r):
             if neg:
-                return q_or(_linearize(l, True), _linearize(r, True))
-            return q_and(_linearize(l, False), _linearize(r, False))
+                return q_or(_linearize(l, True, values), _linearize(r, True, values))
+            return q_and(_linearize(l, False, values), _linearize(r, False, values))
         case Or(l, r):
             if neg:
-                return q_and(_linearize(l, True), _linearize(r, True))
-            return q_or(_linearize(l, False), _linearize(r, False))
+                return q_and(_linearize(l, True, values), _linearize(r, True, values))
+            return q_or(_linearize(l, False, values), _linearize(r, False, values))
         case Implies(l, r):
             if neg:
-                return q_and(_linearize(l, False), _linearize(r, True))
-            return q_or(_linearize(l, True), _linearize(r, False))
-        case Forall(v, b):
-            body = _linearize(b, neg)
-            return QExists(v, body) if neg else QForall(v, body)
-        case Exists(v, b):
-            body = _linearize(b, neg)
-            return QForall(v, body) if neg else QExists(v, body)
+                return q_and(_linearize(l, False, values), _linearize(r, True, values))
+            return q_or(_linearize(l, True, values), _linearize(r, False, values))
+        case Forall(v, b) | Exists(v, b):
+            if v in values:  # the binder hides the free variable
+                values = {w: n for w, n in values.items() if w != v}
+            body = _linearize(b, neg, values)
+            return QForall(v, body) if (type(c) is Forall) != neg else QExists(v, body)
     raise SortError(f"not a formula: {c!r}")
 
 
@@ -530,12 +537,6 @@ def evaluate(f: QFormula, env: Mapping[str, int]) -> bool:
 # ---------------------------------------------------------------------------
 # The decision procedures.
 
-def _ground(c: Construction, e: Environment) -> Construction:
-    for v in sorted(free_vars(c)):
-        c = substitute(c, v, quote_unary(e[v]))
-    return c
-
-
 # The procedure's name and language at each level, for error messages.
 _PROCEDURES = {
     LangLevel.L1: ("decide_bt5", "0 and successor"),
@@ -549,23 +550,23 @@ def _decide(
     level: LangLevel,
     record: Optional[list[Elimination]] = None,
 ) -> TruthValue:
-    """Check that ``c`` is a formula of ``level``, ground its free
-    variables through ``e`` and decide it.  Grounding substitutes closed
-    level-1 numerals, so the grounded formula needs no second check."""
+    """Check that ``c`` is a formula of ``level`` and decide it, its free
+    variables valued through ``e``.  The values are folded into the atoms'
+    constants, giving the atoms of ``c`` grounded by unary numerals."""
     name, language = _PROCEDURES[level]
     if sort_of(c) is not Sort.BOOL:
         raise SortError(f"{name} needs a formula")
     if _level_of(c) > level:
         raise LanguageError(f"{name} needs a first-order formula over {language}")
-    grounded = _ground(c, e if e is not None else Environment())
-    q = eliminate_quantifiers(_linearize(grounded, False), record)
+    e = e if e is not None else Environment()
+    q = eliminate_quantifiers(_linearize(c, False, {v: e[v] for v in free_vars(c)}), record)
     return TruthValue.of(evaluate(q, {}))
 
 
 def decide_bt6(c: Construction, e: Optional[Environment] = None) -> TruthValue:
-    """Decide a formula of the 0/successor/+ language, grounding free
-    variables through ``e``.  Always returns one of the two truth values
-    and agrees with standard-model truth."""
+    """Decide a formula of the 0/successor/+ language, folding the values
+    of its free variables under ``e`` into its linear atoms.  Always returns
+    one of the two truth values and agrees with standard-model truth."""
     return _decide(c, e, LangLevel.L2)
 
 

@@ -144,12 +144,27 @@ _BINARIES = frozenset((Plus, Times, And, Or, Implies, Eq))
 _BINDERS = frozenset((Forall, Exists, Abs))
 
 
+def _climb(c, base, step):
+    """``base`` of the node below the chain of successors and negations
+    from ``c`` down, then ``step(u, a)`` at each node ``u`` of the chain,
+    innermost first: a loop, so a chain of any length is walked."""
+    spine = []
+    while type(c) in _UNARIES:
+        spine.append(c)
+        c = c.arg
+    a = base(c)
+    for u in reversed(spine):
+        a = step(u, a)
+    return a
+
+
 def _fold(leaf, node):
     """The post-order walker that computes ``leaf(c)`` at a leaf and
     ``node(c, a)`` or ``node(c, a, b)`` at a compound node from the
     results ``a``, ``b`` of its children.  A binary node whose two
     children are one object has that child computed once, and then
-    ``b is a``, so a shared numeral layer is walked once."""
+    ``b is a``, so a shared numeral layer is walked once, and a chain of
+    successors or negations is walked in a loop."""
 
     def walk(c):
         t = type(c)
@@ -157,7 +172,9 @@ def _fold(leaf, node):
             a = walk(c.lhs)
             return node(c, a, a if c.rhs is c.lhs else walk(c.rhs))
         if t in _UNARIES:
-            return node(c, walk(c.arg))
+            if type(c.arg) not in _UNARIES:
+                return node(c, walk(c.arg))
+            return _climb(c, walk, node)
         if t in _BINDERS:
             return node(c, walk(c.body))
         if t in _LEAVES:
@@ -195,7 +212,8 @@ def sort_of(c: Construction) -> Sort:
 
     Raises :class:`SortError` if any subtree is ill-sorted, e.g. a
     successor applied to a truth constant.  A binary node whose two
-    children are one object checks that child once.
+    children are one object checks that child once, and a chain of
+    successors, or of negations, is checked in a loop.
     """
     t = type(c)
     if t in _LEAF_SORTS:
@@ -204,7 +222,12 @@ def sort_of(c: Construction) -> Sort:
         raise SortError(f"not a construction: {c!r}")
     want, result, label = _SIGNATURES[t]
     if t is Succ or t is Not:
-        _expect(c.arg, want, label)
+        # A well-sorted chain repeats one type; the loop skips to the
+        # chain's last node, which reports the innermost fault.
+        a = c.arg
+        while type(a) is t:
+            a = a.arg
+        _expect(a, want, label)
     elif t in _BINDERS:
         _expect(c.body, want, label)
     else:
@@ -290,8 +313,8 @@ def _subst(c: Construction, v: str, t: Construction, fv_t: frozenset[str]) -> Co
             return t if w == v else c
         case Zero() | TT() | FF():
             return c
-        case Succ(a) | Not(a):
-            return type(c)(_subst(a, v, t, fv_t))
+        case Succ() | Not():
+            return _climb(c, lambda a: _subst(a, v, t, fv_t), lambda u, a: type(u)(a))
         case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
             # equal children stay one object, so a shared numeral stays shared
             left = _subst(l, v, t, fv_t)

@@ -289,9 +289,9 @@ def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     assert captured.err.startswith(f"error: {line}")
 
 
+# The s-expression reader and compiled evaluation still recurse.
 @pytest.mark.parametrize("argv", [
     ["eval", "(s " * 3000 + "z" + ")" * 3000],
-    ["decide", "--env", "x=100000", "(exists y (= x (+ y y)))"],
 ])
 def test_recursion_limit_is_one_line(capsys, argv):
     assert run(argv) == 2
@@ -300,3 +300,14 @@ def test_recursion_limit_is_one_line(capsys, argv):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value, out", [
+    ("100000", "tt\n"),
+    ("1000000000", "tt\n"),
+    ("1000000001", "ff\n"),
+], ids=["1e5", "1e9", "1e9+1"])
+def test_decide_folds_large_environment_values(capsys, value, out):
+    # Values go into the linear atoms' constants; no numeral is built.
+    assert run(["decide", "--env", f"x={value}", "(exists y (= x (+ y y)))"]) == 0
+    assert capsys.readouterr() == (out, "")

@@ -4,17 +4,21 @@ from math import lcm
 import pytest
 
 from biforge import presburger
+from biforge.binum import of_nat, to_construction
 from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
     Divides, Elimination, EqZero, LinearTerm, LtZero, QAnd, QAtom, QExists,
-    QFalse, QForall, QOr, QTrue, TruthValue, _atoms, _gather, _lower_equality,
-    _map_atoms, _mk_div, _mk_lt, _unify_coefficient, bounded_oracle,
-    cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
-    eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or, q_or_all,
+    QFalse, QForall, QOr, QTrue, TruthValue, _atoms, _decide, _gather,
+    _lower_equality, _map_atoms, _mk_div, _mk_lt, _unify_coefficient,
+    bounded_oracle, cooper_eliminate, decide_bt5, decide_bt6,
+    decide_bt6_with_bound, eliminate_quantifiers, evaluate, linearize, negate,
+    q_and, q_or, q_or_all, sufficiency_bound,
 )
+from biforge.recognizers import LangLevel
 from biforge.semantics import Environment
 from biforge.syntax import (
-    Eq, Exists, Forall, Not, Or, Plus, Succ, Times, Var, Zero, quote_unary,
+    And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var, Zero,
+    free_vars, quote_unary, substitute,
 )
 from .conftest import random_matrix, random_sentence
 
@@ -292,3 +296,115 @@ def test_short_circuit_keeps_every_test_point(monkeypatch):
     got, want = _both(QExists("y", matrix), monkeypatch)
     assert got == want == (
         QTrue(), [Elimination("y", (LinearTerm.constant(-1), LinearTerm.variable("x")), 1)])
+
+
+# ---------------------------------------------------------------------------
+# Reference grounding: the substitution that ``_decide`` replaced, each
+# free variable rewritten into its unary numeral before linearization.
+# Folding the values into the linear atoms must give the same verdicts,
+# elimination records and sufficiency bounds.
+
+def reference_ground(c, e, numeral=quote_unary):
+    for v in sorted(free_vars(c)):
+        c = substitute(c, v, numeral(e[v]))
+    return c
+
+
+def _decision(c, e, level):
+    records = []
+    verdict = _decide(c, e, level, records)
+    return verdict, records, sufficiency_bound(records)
+
+
+def _agrees_with_reference(c, e, level=LangLevel.L2):
+    got = _decision(c, e, level)
+    assert got == _decision(reference_ground(c, e), None, level)
+    return got[0]
+
+
+def _without_sums(c):
+    """``c`` with each sum replaced by its left operand: level 1."""
+    match c:
+        case Plus(l, _):
+            return _without_sums(l)
+        case Succ(a) | Not(a):
+            return type(c)(_without_sums(a))
+        case Eq(l, r) | And(l, r) | Or(l, r) | Implies(l, r):
+            return type(c)(_without_sums(l), _without_sums(r))
+        case Forall(v, b) | Exists(v, b):
+            return type(c)(v, _without_sums(b))
+    return c
+
+
+def _open_corpus(seed, q, depth, count):
+    """The prenex corpus with 0 to ``q`` outer quantifiers stripped, each
+    formula with an environment of values 0-400 for its free variables."""
+    rng = random.Random(f"{seed}/values")
+    for s in prenex_corpus(seed, q, depth, count):
+        for _ in range(q + 1):
+            yield s, Environment({v: rng.randint(0, 400) for v in sorted(free_vars(s))})
+            s = getattr(s, "body", s)
+
+
+@pytest.mark.parametrize("level", [LangLevel.L1, LangLevel.L2])
+@pytest.mark.parametrize("seed, q, depth, count", [
+    ("decide/q3", 3, 2, 100),
+    ("decide/tail", 4, 3, 12),
+])
+def test_decide_matches_reference_grounding(seed, q, depth, count, level):
+    for c, e in _open_corpus(seed, q, depth, count):
+        _agrees_with_reference(c if level is LangLevel.L2 else _without_sums(c), e, level)
+
+
+def _succs(t, n):
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def open_templates(c, k, r):
+    """The open formula shapes of the benchmark's ``decide`` workload,
+    over free x and y, each with the closed form of its truth."""
+    ys = y
+    for _ in range(k - 1):
+        ys = Plus(ys, y)
+    d = Var("d")
+    return [
+        (Exists("y", Eq(_succs(x, c), Plus(y, y))), lambda e: (e["x"] + c) % 2 == 0),
+        (Exists("y", Eq(x, _succs(ys, r))), lambda e: e["x"] >= r and (e["x"] - r) % k == 0),
+        (Exists("d", Eq(y, Plus(x, d))), lambda e: e["x"] <= e["y"]),
+        (Exists("d", Eq(y, Plus(_succs(x, c), Succ(d)))), lambda e: e["x"] + c < e["y"]),
+        (Forall("d", Not(Eq(Plus(x, Succ(d)), y))), lambda e: e["x"] >= e["y"]),
+    ]
+
+
+@pytest.mark.parametrize("c, k, r", [(0, 2, 0), (1, 3, 2), (5, 5, 1)])
+def test_open_templates_match_reference_grounding(c, k, r):
+    rng = random.Random(f"open/{c}/{k}/{r}")
+    for f, closed_form in open_templates(c, k, r):
+        for vx in [*range(0, 400, 23), 400]:
+            e = {"x": vx, "y": max(0, vx + rng.randint(-8, 8))}
+            verdict = _agrees_with_reference(f, Environment(e))
+            assert verdict is TruthValue.of(closed_form(e))
+
+
+def test_values_decide_like_shared_binary_numerals():
+    # A second route: each free variable replaced by the #b construction
+    # of its value, a shared (v + v) + d tree, and the sentence decided.
+    rng = random.Random("decide/binary")
+    formulas = [f for f, _ in open_templates(3, 4, 1)]
+    formulas += [c for c, _ in _open_corpus("decide/q3", 3, 2, 20) if free_vars(c)]
+    for f in formulas:
+        for bound in (400, 10**6, 10**12):
+            e = {v: rng.randint(0, bound) for v in sorted(free_vars(f))}
+            binary = reference_ground(f, e, lambda n: to_construction(of_nat(n)))
+            assert _decision(f, Environment(e), LangLevel.L2) == _decision(binary, None, LangLevel.L2)
+
+
+def test_a_binder_hides_the_value_of_its_variable():
+    # x = 2 and (exists x. x = 3): the value of x stops at the binder.
+    c = And(Eq(x, _succs(Zero(), 2)), Exists("x", Eq(x, _succs(Zero(), 3))))
+    assert _agrees_with_reference(c, Environment({"x": 2})) is TruthValue.TRUE
+    for c, e in _open_corpus("decide/q3", 3, 2, 30):
+        for v in free_vars(c):
+            _agrees_with_reference(And(c, Forall(v, c)), e)

@@ -1,9 +1,12 @@
 import pytest
 
 from biforge.errors import NotAnAbstraction, SortError
+from biforge.presburger import linearize
+from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment, eval_bool, eval_nat, Bounded
+from biforge.sexpr import to_sexpr
 from biforge.syntax import (
-    Abs, And, Eq, Exists, Forall, Implies, Plus, Sort, Succ, TT, Var,
+    Abs, And, Eq, Exists, Forall, Implies, Not, Plus, Sort, Succ, TT, Var,
     Zero, abs_body, alpha_equal, bnat, free_vars, is_abs, is_closed,
     quote_unary, sort_of, substitute,
 )
@@ -141,3 +144,48 @@ def test_alpha_equal():
     assert not alpha_equal(Abs("x", Eq(x, y)), Abs("w", Eq(Var("w"), Var("v"))))
     # structural equality stays literal
     assert a != b
+
+
+# Successor and negation chains are walked in a loop, so their depth is
+# not bounded by the interpreter's recursion limit.
+DEPTH = 10_000
+
+
+def _nots(c, n=DEPTH):
+    for _ in range(n):
+        c = Not(c)
+    return c
+
+
+@pytest.mark.parametrize("chain", [
+    quote_unary(DEPTH),
+    _nots(TT()),
+    Eq(x, quote_unary(DEPTH)),
+    _nots(Eq(Succ(x), y)),
+], ids=["succ", "not", "eq-succ", "not-eq"])
+def test_walkers_answer_on_deep_chains(chain):
+    sort = sort_of(chain)
+    assert is_fo(LangLevel.L1, chain)
+    text = to_sexpr(chain)
+    assert text.count("(") == text.count(")") >= DEPTH
+    grounded = substitute(chain, "x", quote_unary(DEPTH))
+    assert free_vars(grounded) == free_vars(chain) - {"x"}
+    assert sort_of(grounded) is sort
+    if sort is Sort.BOOL:
+        linearize(grounded)
+
+
+def test_deep_chains_report_the_innermost_sort_fault():
+    deep_succ = TT()
+    for _ in range(DEPTH):
+        deep_succ = Succ(deep_succ)
+    with pytest.raises(SortError) as err:
+        sort_of(deep_succ)
+    assert str(err.value) == "s needs a nat argument, got bool"
+    with pytest.raises(SortError) as err:
+        sort_of(_nots(Zero()))
+    assert str(err.value) == "not needs a bool argument, got nat"
+    # A chain that changes type faults where it changes.
+    with pytest.raises(SortError) as err:
+        sort_of(_nots(Succ(quote_unary(DEPTH))))
+    assert str(err.value) == "not needs a bool argument, got nat"
