@@ -17,11 +17,10 @@ length its defining clauses give.  One walk down a numeral term's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import NotBnum, StuckRewrite
-from .syntax import Construction, Plus, Succ, Zero
+from .syntax import Construction, Plus, Succ, Zero, _Record
 
 
 class BinDigit(enum.IntEnum):
@@ -43,25 +42,23 @@ def _as_digit(d) -> BinDigit:
     raise ValueError(f"{d!r} is not a valid BinDigit")
 
 
-@dataclass(frozen=True)
-class BinNum:
-    """Non-empty digit sequence, least-significant digit first.
+class BinNum(_Record):
+    """Non-empty digit sequence ``digits``, least-significant digit first.
 
     Most-significant zeros are legal: numerals compare by value via
     :func:`to_nat` unless structure is explicitly at stake.
     """
 
-    digits: tuple[BinDigit, ...]
+    __slots__ = ("digits",)
 
     def __post_init__(self):
-        if not self.digits:
+        digits = self.digits
+        if not digits:
             raise ValueError("a numeral has at least one digit")
-        digits = tuple(self.digits)
-        # The kernel emits members only; other digits are checked and
-        # replaced by members.
-        if {*map(type, digits)} != _MEMBERS_ONLY:
-            digits = tuple(map(_as_digit, digits))
-        object.__setattr__(self, "digits", digits)
+        # The kernel emits tuples of members only; other digits are
+        # checked and replaced by members.
+        if type(digits) is not tuple or {*map(type, digits)} != _MEMBERS_ONLY:
+            object.__setattr__(self, "digits", tuple(map(_as_digit, digits)))
 
     def __len__(self):
         return len(self.digits)
@@ -190,8 +187,8 @@ def to_construction(b: BinNum) -> Construction:
 
 def _digit(w: Construction) -> Optional[BinDigit]:
     """The digit that the digit term ``w`` (zero or the successor of
-    zero) stands for, else None.  The type tests are exact: dataclass
-    equality requires the same class, and Zero has no fields."""
+    zero) stands for, else None.  The type tests are exact: records of
+    different classes are unequal, and Zero has no fields."""
     if type(w) is Zero:
         return _D0
     if type(w) is Succ and type(w.arg) is Zero:
@@ -249,16 +246,12 @@ def from_construction(c: Construction) -> BinNum:
 # are plain constructions, tried in their stated order; the first stuck
 # redex aborts the whole rewrite.
 
-@dataclass(frozen=True)
-class _Add:
-    lhs: "RewriteTerm"
-    rhs: "RewriteTerm"
+class _Add(_Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class _Digit:
-    high: "RewriteTerm"
-    low: Construction  # zero or one term
+class _Digit(_Record):
+    __slots__ = ("high", "low")  # low: a zero or one term
 
 
 RewriteTerm = Union[_Add, _Digit, Construction]

@@ -13,7 +13,6 @@ exist only inside the elimination; surface formulas never contain them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -22,7 +21,7 @@ from .recognizers import LangLevel, _level_of
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Sort, TT, Var, _fold, free_vars, sort_of,
+    Sort, TT, Var, _Record, _fold, free_vars, sort_of,
 )
 
 
@@ -38,16 +37,15 @@ class TruthValue(enum.Enum):
 # ---------------------------------------------------------------------------
 # Linear terms and atoms.
 
-@dataclass(frozen=True)
-class LinearTerm:
+class LinearTerm(_Record):
     """Integer-linear combination of variables plus a constant.
 
+    ``coeffs`` holds ``(name, coefficient)`` pairs and ``const`` an int.
     Zero coefficients are never stored; coefficient order is fixed by
     the variable name, so equal terms are structurally equal.
     """
 
-    coeffs: tuple[tuple[str, int], ...]
-    const: int
+    __slots__ = ("coeffs", "const")
 
     @staticmethod
     def make(coeffs: Mapping[str, int], const: int) -> "LinearTerm":
@@ -103,20 +101,16 @@ class LinearTerm:
         return not self.coeffs
 
 
-@dataclass(frozen=True)
-class EqZero:
-    term: LinearTerm
+class EqZero(_Record):
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
-class LtZero:
-    term: LinearTerm
+class LtZero(_Record):
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
-class Divides:
-    d: int
-    term: LinearTerm
+class Divides(_Record):
+    __slots__ = ("d", "term")
 
     def __post_init__(self):
         if self.d < 1:
@@ -130,43 +124,32 @@ LinearAtom = Union[EqZero, LtZero, Divides]
 # Quantifier-structured formulas over linear atoms (negation-normal form:
 # negation never appears as a node, it is pushed into the atoms).
 
-@dataclass(frozen=True)
-class QTrue:
-    pass
+class QTrue(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QFalse:
-    pass
+class QFalse(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QAtom:
-    atom: LinearAtom
+class QAtom(_Record):
+    __slots__ = ("atom",)
 
 
-@dataclass(frozen=True)
-class QAnd:
-    lhs: "QFormula"
-    rhs: "QFormula"
+class QAnd(_Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class QOr:
-    lhs: "QFormula"
-    rhs: "QFormula"
+class QOr(_Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class QForall:
-    var: str
-    body: "QFormula"
+class QForall(_Record):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class QExists:
-    var: str
-    body: "QFormula"
+class QExists(_Record):
+    __slots__ = ("var", "body")
 
 
 QFormula = Union[QTrue, QFalse, QAtom, QAnd, QOr, QForall, QExists]
@@ -348,14 +331,11 @@ def _linearize(c: Construction, neg: bool, values: dict[str, int]) -> QFormula:
 # ---------------------------------------------------------------------------
 # Cooper-style elimination over the naturals.
 
-@dataclass(frozen=True)
-class Elimination:
-    """Record of one eliminated variable: the lower-boundary test terms
-    (over variables still quantified outside it) and the period."""
+class Elimination(_Record):
+    """Record of one eliminated variable ``var``: its lower-boundary test
+    terms ``tests``, over variables bound outside it, and period ``delta``."""
 
-    var: str
-    tests: tuple[LinearTerm, ...]
-    delta: int
+    __slots__ = ("var", "tests", "delta")
 
 
 def _atoms(f: QFormula) -> Iterator[LinearAtom]:

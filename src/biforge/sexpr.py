@@ -61,30 +61,39 @@ def _read_binary_literal(token: str, pos: int) -> BinNum:
 
 
 def _read(tokens: list[tuple[str, int]], i: int):
-    """One expression starting at token ``i``; returns (node, next index)."""
-    if i >= len(tokens):
-        position = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
-        raise ParseError("unexpected end of input", position)
-    token, pos = tokens[i]
-    if token == ")":
-        raise ParseError("unexpected ')'", pos)
-    if token != "(":
-        return _atom(token, pos), i + 1
+    """One expression starting at token ``i``; returns (node, next index).
 
-    if i + 1 >= len(tokens):
-        raise ParseError("unclosed '('", pos)
-    head, head_pos = tokens[i + 1]
-    if head in "()":
-        raise ParseError("a form starts with an operator name", head_pos)
-    i += 2
-    args = []
-    while i < len(tokens) and tokens[i][0] != ")":
-        node, i = _read(tokens, i)
-        args.append(node)
-    if i >= len(tokens):
-        raise ParseError("unclosed '('", pos)
-    i += 1  # consume ')'
-    return _form(head, head_pos, args), i
+    Open forms wait on a stack, so nesting depth is not bounded by the
+    recursion limit.
+    """
+    stack = []  # head, its position, position of '(', arguments so far
+    while True:
+        if i >= len(tokens):
+            if stack:
+                raise ParseError("unclosed '('", stack[-1][2])
+            position = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
+            raise ParseError("unexpected end of input", position)
+        token, pos = tokens[i]
+        i += 1
+        if token == "(":
+            if i >= len(tokens):
+                raise ParseError("unclosed '('", pos)
+            head, head_pos = tokens[i]
+            if head in "()":
+                raise ParseError("a form starts with an operator name", head_pos)
+            stack.append((head, head_pos, pos, []))
+            i += 1
+            continue
+        if token == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", pos)
+            head, head_pos, _, args = stack.pop()
+            node = _form(head, head_pos, args)
+        else:
+            node = _atom(token, pos)
+        if not stack:
+            return node, i
+        stack[-1][3].append(node)
 
 
 _UNARY = {"s": Succ, "not": Not}

@@ -10,10 +10,88 @@ procedures) works on these trees.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Union
 
 from .errors import NotAnAbstraction, SortError
+
+
+class _Record:
+    """Base of the kernel's immutable value types, whose fields a
+    subclass names in ``__slots__``.  At class creation the subclass
+    gets an ``__init__`` that stores each field through its slot
+    descriptor, then calls ``__post_init__`` where one is defined;
+    ``__match_args__``; and, unless it or a base below this one defines
+    ``__eq__``, a field-wise ``__eq__`` within one class and the
+    matching ``__hash__``.  Assignment and deletion raise
+    FrozenInstanceError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        own = "".join(f"self.{n}, " for n in names)
+        other = "".join(f"other.{n}, " for n in names)
+        init = [f"_set_{n}(self, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            init.append("self.__post_init__()")
+        scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        exec(f"def __init__(self, {', '.join(names)}):\n {'; '.join(init) or 'pass'}\n"
+             f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+             f"  return ({own}) == ({other})\n return NotImplemented\n"
+             f"def __hash__(self):\n return hash(({own}))\n", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__match_args__ = names
+        if cls.__eq__ is object.__eq__:
+            cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Spine(_Record):
+    """Successor, negation and binary nodes.  ``==`` and ``hash`` walk
+    the left spine (``arg`` or ``lhs``) in a loop, so a numeral or chain
+    of any length takes no recursion, and a right child that is its
+    node's left child is compared or hashed once, as the left one."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if type(a) is not type(b) or not isinstance(a, _Spine):
+                return a == b
+            if type(a) in _UNARIES:
+                a, b = a.arg, b.arg
+                continue
+            ra, rb = a.rhs, b.rhs
+            if ra is not rb and (ra is not a.lhs or rb is not b.lhs) and ra != rb:
+                return False
+            a, b = a.lhs, b.lhs
+        return True
+
+    def __hash__(self):
+        spine, c = [], self
+        while isinstance(c, _Spine):
+            spine.append(c)
+            c = c.arg if type(c) in _UNARIES else c.lhs
+        h = hash(c)
+        for u in reversed(spine):
+            h = hash((h,) if type(u) in _UNARIES else (h, h if u.rhs is u.lhs else hash(u.rhs)))
+        return h
 
 
 class Sort(enum.Enum):
@@ -29,106 +107,78 @@ class Sort(enum.Enum):
     ABS_PRED = "abs-pred"
 
 
-@dataclass(frozen=True, slots=True)
-class Zero:
-    pass
+class Zero(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Succ:
-    arg: "Construction"
+class Succ(_Spine):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
-class Plus:
-    lhs: "Construction"
-    rhs: "Construction"
+class Plus(_Spine):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Times:
-    lhs: "Construction"
-    rhs: "Construction"
+class Times(_Spine):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(_Record):
+    __slots__ = ("name",)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("variable names must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
-class TT:
-    pass
+class TT(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FF:
-    pass
+class FF(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    lhs: "Construction"
-    rhs: "Construction"
+class And(_Spine):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    lhs: "Construction"
-    rhs: "Construction"
+class Or(_Spine):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    arg: "Construction"
+class Not(_Spine):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    lhs: "Construction"
-    rhs: "Construction"
+class Implies(_Spine):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    lhs: "Construction"
-    rhs: "Construction"
+class Eq(_Spine):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
-    var: str
-    body: "Construction"
+class _Binder:  # a mixin, not a record, so each binder gets its own ``==``
+    __slots__ = ()
 
     def __post_init__(self):
         if not self.var:
             raise ValueError("variable names must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
-    var: str
-    body: "Construction"
-
-    def __post_init__(self):
-        if not self.var:
-            raise ValueError("variable names must be non-empty")
+class Forall(_Binder, _Record):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True, slots=True)
-class Abs:
+class Exists(_Binder, _Record):
+    __slots__ = ("var", "body")
+
+
+class Abs(_Binder, _Record):
     """Unary predicate abstraction: a variable abstracted out of a formula."""
 
-    var: str
-    body: "Construction"
-
-    def __post_init__(self):
-        if not self.var:
-            raise ValueError("variable names must be non-empty")
+    __slots__ = ("var", "body")
 
 
 Construction = Union[
@@ -184,8 +234,7 @@ def _fold(leaf, node):
     return walk
 
 
-def _expect(child: Construction, want: Sort, context: str) -> None:
-    got = sort_of(child)
+def _expect(got: Sort, want: Sort, context: str) -> None:
     if got is not want:
         raise SortError(f"{context} needs a {want.value} argument, got {got.value}")
 
@@ -213,27 +262,36 @@ def sort_of(c: Construction) -> Sort:
     Raises :class:`SortError` if any subtree is ill-sorted, e.g. a
     successor applied to a truth constant.  A binary node whose two
     children are one object checks that child once, and a chain of
-    successors, or of negations, is checked in a loop.
+    successors and negations is checked in a loop.
     """
     t = type(c)
     if t in _LEAF_SORTS:
         return _LEAF_SORTS[t]
     if t not in _SIGNATURES:
         raise SortError(f"not a construction: {c!r}")
+    if t in _UNARIES:
+        # Each node of a chain of successors and negations has its
+        # argument's sort, so a fault can lie only at the chain's bottom
+        # or at its lowest change of node type; the bottom is checked first.
+        above = t
+        while True:
+            while type(c) is t:
+                c = c.arg
+            if type(c) not in _UNARIES:
+                break
+            above, t = t, type(c)
+        got = sort_of(c)
+        _expect(got, _SIGNATURES[t][0], _SIGNATURES[t][2])
+        if above is not t:
+            _expect(got, _SIGNATURES[above][0], _SIGNATURES[above][2])
+        return got
     want, result, label = _SIGNATURES[t]
-    if t is Succ or t is Not:
-        # A well-sorted chain repeats one type; the loop skips to the
-        # chain's last node, which reports the innermost fault.
-        a = c.arg
-        while type(a) is t:
-            a = a.arg
-        _expect(a, want, label)
-    elif t in _BINDERS:
-        _expect(c.body, want, label)
+    if t in _BINDERS:
+        _expect(sort_of(c.body), want, label)
     else:
-        _expect(c.lhs, want, label)
+        _expect(sort_of(c.lhs), want, label)
         if c.rhs is not c.lhs:
-            _expect(c.rhs, want, label)
+            _expect(sort_of(c.rhs), want, label)
     return result
 
 
@@ -253,8 +311,8 @@ def bnat(x: Construction, y: Construction) -> Construction:
     Nesting these encodes base-2 numerals: ``y`` is the low digit (zero
     or one as a term), ``x`` encodes the remaining digits.
     """
-    _expect(x, Sort.NAT, "bnat")
-    _expect(y, Sort.NAT, "bnat")
+    _expect(sort_of(x), Sort.NAT, "bnat")
+    _expect(sort_of(y), Sort.NAT, "bnat")
     return Plus(Plus(x, x), y)
 
 
@@ -303,7 +361,7 @@ def substitute(c: Construction, v: str, t: Construction) -> Construction:
     Capture-avoiding: a binder whose variable occurs free in ``t`` is
     renamed to a fresh variable before descending.
     """
-    _expect(t, Sort.NAT, "substitute")
+    _expect(sort_of(t), Sort.NAT, "substitute")
     return _subst(c, v, t, free_vars(t))
 
 
@@ -337,6 +395,8 @@ def alpha_equal(a: Construction, b: Construction) -> bool:
 
 
 def _alpha(a, b, env_a, env_b, depth) -> bool:
+    while type(a) in _UNARIES and type(b) is type(a):
+        a, b = a.arg, b.arg
     if type(a) is not type(b):
         return False
     match a:
@@ -344,8 +404,6 @@ def _alpha(a, b, env_a, env_b, depth) -> bool:
             return env_a.get(v, v) == env_b.get(b.name, b.name)
         case Zero() | TT() | FF():
             return True
-        case Succ(x) | Not(x):
-            return _alpha(x, b.arg, env_a, env_b, depth)
         case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
             return _alpha(l, b.lhs, env_a, env_b, depth) and (
                 (r is l and b.rhs is b.lhs) or _alpha(r, b.rhs, env_a, env_b, depth))

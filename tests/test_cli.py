@@ -289,7 +289,7 @@ def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     assert captured.err.startswith(f"error: {line}")
 
 
-# The s-expression reader and compiled evaluation still recurse.
+# Compiled evaluation still recurses.
 @pytest.mark.parametrize("argv", [
     ["eval", "(s " * 3000 + "z" + ")" * 3000],
 ])
@@ -311,3 +311,10 @@ def test_decide_folds_large_environment_values(capsys, value, out):
     # Values go into the linear atoms' constants; no numeral is built.
     assert run(["decide", "--env", f"x={value}", "(exists y (= x (+ y y)))"]) == 0
     assert capsys.readouterr() == (out, "")
+
+
+def test_decide_reads_a_5000_deep_successor_chain(capsys):
+    # The reader keeps open forms on a stack, not on the call stack.
+    chain = "(s " * 5000 + "z" + ")" * 5000
+    assert run(["decide", "--env", "x=3", f"(= x {chain})"]) == 0
+    assert capsys.readouterr() == ("ff\n", "")

@@ -1,0 +1,145 @@
+"""The immutable record types: syntax nodes, linear terms, atoms and
+formulas, elimination records, numerals and rewrite terms.
+
+Records of one class compare and hash field by field, records of two
+classes are unequal, the repr is ``Name(field=value, ...)``, assignment
+and deletion raise ``FrozenInstanceError``, and copies and pickles are
+equal records of the same class.
+"""
+
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from biforge import (
+    FF, TT, Abs, And, BinNum, Divides, Elimination, Eq, EqZero, Exists,
+    Forall, Implies, LinearTerm, LtZero, Not, Or, Plus, Succ, Times, Var,
+    Zero, binnum,
+)
+from biforge.binum import _Add, _Digit
+from biforge.presburger import QAnd, QAtom, QExists, QFalse, QForall, QOr, QTrue
+
+x = Var("x")
+t = LinearTerm.make({"x": 2}, 1)
+
+SAMPLES = [
+    Zero(), Succ(x), Plus(x, Zero()), Times(x, x), x, TT(), FF(),
+    And(TT(), FF()), Or(TT(), TT()), Not(FF()), Implies(TT(), FF()),
+    Eq(x, Succ(x)), Forall("x", TT()), Exists("y", FF()),
+    Abs("x", Eq(x, Zero())),
+    t, EqZero(t), LtZero(t), Divides(3, t), QTrue(), QFalse(),
+    QAtom(EqZero(t)), QAnd(QTrue(), QFalse()), QOr(QTrue(), QTrue()),
+    QForall("x", QTrue()), QExists("x", QFalse()), Elimination("x", (t,), 2),
+    binnum([1, 0, 1]), _Add(Zero(), Zero()), _Digit(Zero(), Succ(Zero())),
+]
+
+
+def ids(record):
+    return type(record).__name__
+
+
+def rebuilt(record):
+    return type(record)(*(getattr(record, f) for f in record.__match_args__))
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=ids)
+def test_equal_fields_in_one_class_compare_and_hash_equal(record):
+    twin = rebuilt(record)
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Zero(), TT()), (TT(), FF()), (QTrue(), QFalse()),
+    (Succ(TT()), Not(TT())),
+    (Plus(x, x), Times(x, x)), (And(TT(), FF()), Or(TT(), FF())),
+    (And(TT(), FF()), Implies(TT(), FF())), (Plus(x, x), Eq(x, x)),
+    (Forall("x", TT()), Exists("x", TT())), (Forall("x", TT()), Abs("x", TT())),
+    (EqZero(t), LtZero(t)), (QAnd(QTrue(), QTrue()), QOr(QTrue(), QTrue())),
+    (QForall("x", QTrue()), QExists("x", QTrue())),
+    (_Add(Zero(), Zero()), Plus(Zero(), Zero())),
+])
+def test_records_of_two_classes_with_equal_fields_are_unequal(a, b):
+    assert a != b and b != a
+    assert not a == b
+
+
+def test_fields_compare_in_order():
+    assert Plus(x, Zero()) != Plus(Zero(), x)
+    assert Forall("x", TT()) != Forall("y", TT())
+    assert LinearTerm((("x", 1),), 2) != LinearTerm((("x", 2),), 1)
+    assert Plus(x, Zero()) != (x, Zero())
+
+
+@pytest.mark.parametrize("record, text", [
+    (Plus(Zero(), Zero()), "Plus(lhs=Zero(), rhs=Zero())"),
+    (Forall("x", Not(TT())), "Forall(var='x', body=Not(arg=TT()))"),
+    (Var("x"), "Var(name='x')"),
+    (Divides(3, t), "Divides(d=3, term=LinearTerm(coeffs=(('x', 2),), const=1))"),
+    (QAnd(QTrue(), QAtom(LtZero(t))),
+     "QAnd(lhs=QTrue(), rhs=QAtom(atom=LtZero(term=LinearTerm(coeffs=(('x', 2),), const=1))))"),
+    (Elimination("x", (t,), 2),
+     "Elimination(var='x', tests=(LinearTerm(coeffs=(('x', 2),), const=1),), delta=2)"),
+    (binnum([1, 0]), "BinNum(digits=(<BinDigit.D1: 1>, <BinDigit.D0: 0>))"),
+    (_Digit(_Add(Zero(), Zero()), Succ(Zero())),
+     "_Digit(high=_Add(lhs=Zero(), rhs=Zero()), low=Succ(arg=Zero()))"),
+], ids=lambda v: type(v).__name__ if not isinstance(v, str) else "")
+def test_repr_names_every_field(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=ids)
+def test_assignment_and_deletion_raise(record):
+    for name in record.__match_args__ + ("other",):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=ids)
+def test_copies_and_pickles_are_equal_records(record):
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record)
+
+
+def test_deepcopy_keeps_a_shared_child_shared():
+    layer = Plus(Plus(x, x), Succ(Zero()))
+    twin = copy.deepcopy(layer)
+    assert twin == layer and twin.lhs.lhs is twin.lhs.rhs
+
+
+def test_constructors_take_fields_by_keyword_and_run_their_checks():
+    assert Plus(lhs=x, rhs=Zero()) == Plus(x, Zero())
+    assert Divides(term=t, d=3) == Divides(3, t)
+    assert BinNum([1, 0]).digits == binnum([1, 0]).digits
+    for build in (lambda: Var(""), lambda: Forall("", TT()), lambda: Abs("", TT()),
+                  lambda: Divides(0, t), lambda: BinNum(())):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_class_patterns_match_by_position_and_keyword():
+    match Plus(Succ(x), Zero()):
+        case Plus(Succ(Var(name)), rhs=Zero()):
+            assert name == "x"
+        case _:
+            pytest.fail("no case matched")
+    match Divides(3, t):
+        case Divides(d, LinearTerm(coeffs, const=1)):
+            assert (d, coeffs) == (3, (("x", 2),))
+        case _:
+            pytest.fail("no case matched")
+    match QAnd(QTrue(), QForall("x", QFalse())):
+        case QAnd(QTrue(), QForall(var="x", body=QFalse())):
+            pass
+        case _:
+            pytest.fail("no case matched")
+    match binnum([0, 1]):
+        case BinNum(digits):
+            assert digits == (0, 1)

@@ -9,7 +9,7 @@ from biforge.sexpr import (
 )
 from biforge.syntax import (
     Abs, And, Eq, Exists, FF, Forall, Implies, Not, Or, Plus, Succ, TT,
-    Times, Var, Zero, sort_of,
+    Times, Var, Zero, quote_unary, sort_of,
 )
 
 x = Var("x")
@@ -67,6 +67,43 @@ def test_parse_errors_carry_positions():
         parse_construction("#b102")
     with pytest.raises(ParseError):
         parse_construction("forall")
+
+
+DEEP = 5000
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("(s z))", "trailing input ')'", 5),
+    ("(frob x)", "unknown form 'frob'", 1),
+    ("(s z", "unclosed '('", 0),
+    ("(s (s z", "unclosed '('", 3),
+    ("", "empty input", 0),
+    ("(forall (s z) tt)", "(forall ...) takes a variable and a body", 1),
+    ("#b102", "bad binary literal '#b102'", 0),
+    ("forall", "'forall' cannot stand alone", 0),
+    (")", "unexpected ')'", 0),
+    ("(", "unclosed '('", 0),
+    ("(()", "a form starts with an operator name", 1),
+    ("(s)", "(s ...) takes one argument", 1),
+    ("(+ z)", "(+ ...) takes two arguments", 1),
+    ("(s z z)", "(s ...) takes one argument", 1),
+    ("(s (+ z 1x) z)", "bad identifier '1x'", 8),
+    pytest.param("(s " * DEEP + "z" + ")" * (DEEP - 1), "unclosed '('", 0,
+                 id="deep-unclosed"),
+    pytest.param("(s " * DEEP + "1x" + ")" * DEEP, "bad identifier '1x'", 3 * DEEP,
+                 id="deep-bad-identifier"),
+    pytest.param("(s " * DEEP + "z z" + ")" * DEEP, "(s ...) takes one argument",
+                 3 * DEEP - 2, id="deep-arity"),
+])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_construction(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
+    assert parse_construction("(s " * DEEP + "z" + ")" * DEEP) == quote_unary(DEEP)
 
 
 def test_round_trip_named_examples():

@@ -10,6 +10,7 @@ all fifteen node kinds, and the last tests pin which of two faults in
 one input a post-order walk reports.
 """
 
+import random
 import time
 
 import pytest
@@ -254,6 +255,63 @@ def test_is_fo_is_monotone_in_the_level_and_rejects_abstractions():
             assert not any(accepted)
 
     for_all_constructions(check)
+
+
+def unshared(c):
+    """An equal tree built apart: no node object of ``c`` is reused."""
+    if type(c) is str:
+        return c
+    return type(c)(*(unshared(getattr(c, f)) for f in c.__match_args__))
+
+
+def field_wise_equal(a, b):
+    """Equality of records: one class, and equal fields in order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is str:
+        return a == b
+    return all(field_wise_equal(getattr(a, f), getattr(b, f)) for f in a.__match_args__)
+
+
+def test_equality_and_hash_agree_with_field_wise_equality():
+    def check(c):
+        twin = unshared(c)
+        assert twin == c and hash(twin) == hash(c)
+        nodes = distinct_nodes(c) + distinct_nodes(twin)
+        for a in nodes:
+            for b in nodes:
+                assert (a == b) is field_wise_equal(a, b)
+                assert (a != b) is not (a == b)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    for_all_constructions(check)
+
+
+BITS_2048 = "1" + "".join(random.Random(2048).choice("01") for _ in range(2047))
+
+
+def test_literals_parsed_apart_compare_and_hash_in_linear_time():
+    a, b = literal(BITS_2048), literal(BITS_2048)
+    assert a is not b
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert a == b
+        assert hash(a) == hash(b)
+        best = min(best, time.perf_counter() - start)
+    # A tree walk of the 2^2048-leaf expansion would never end, and a
+    # walk that recursed per layer would exceed the recursion limit.
+    assert best < 0.050
+
+
+@pytest.mark.parametrize("flip", [-1, 0], ids=["low", "high"])
+def test_literals_that_differ_in_one_digit_are_unequal(flip):
+    bits = list(BITS_2048)
+    bits[flip] = "1" if bits[flip] == "0" else "0"
+    other = literal("".join(bits))
+    assert other != literal(BITS_2048)
+    assert not other == literal(BITS_2048)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment, eval_bool, eval_nat, Bounded
 from biforge.sexpr import to_sexpr
 from biforge.syntax import (
-    Abs, And, Eq, Exists, Forall, Implies, Not, Plus, Sort, Succ, TT, Var,
-    Zero, abs_body, alpha_equal, bnat, free_vars, is_abs, is_closed,
+    Abs, And, Eq, Exists, FF, Forall, Implies, Not, Plus, Sort, Succ, TT,
+    Var, Zero, abs_body, alpha_equal, bnat, free_vars, is_abs, is_closed,
     quote_unary, sort_of, substitute,
 )
 from .conftest import random_matrix, random_term
@@ -189,3 +189,35 @@ def test_deep_chains_report_the_innermost_sort_fault():
     with pytest.raises(SortError) as err:
         sort_of(_nots(Succ(quote_unary(DEPTH))))
     assert str(err.value) == "not needs a bool argument, got nat"
+
+
+@pytest.mark.parametrize("bottom, inner, outer", [
+    (Zero(), Not, Succ), (TT(), Succ, Not), (TT(), Not, Succ), (Zero(), Succ, Not),
+], ids=["not-over-z", "s-over-tt", "s-over-not", "not-over-s"])
+def test_alternating_chains_report_the_innermost_sort_fault(bottom, inner, outer):
+    def chain(n):
+        c = bottom
+        for k in range(n):
+            c = (inner if k % 2 == 0 else outer)(c)
+        return c
+
+    with pytest.raises(SortError) as short:
+        sort_of(chain(3))
+    with pytest.raises(SortError) as long:
+        sort_of(chain(3000))
+    assert str(long.value) == str(short.value)
+
+
+def test_alpha_equal_walks_deep_chains_in_a_loop():
+    n = 5000
+
+    def succs(c):
+        for _ in range(n):
+            c = Succ(c)
+        return c
+
+    assert alpha_equal(quote_unary(n), quote_unary(n))
+    assert alpha_equal(_nots(TT(), n), _nots(TT(), n))
+    assert not alpha_equal(succs(x), succs(y))
+    assert not alpha_equal(_nots(TT(), n), _nots(FF(), n))
+    assert alpha_equal(Forall("x", Eq(succs(x), y)), Forall("w", Eq(succs(Var("w")), y)))
