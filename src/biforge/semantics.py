@@ -102,28 +102,50 @@ _Scope = dict
 _MISSING = object()
 
 
-def _term_leaf(c: Construction) -> Callable[[_Scope], int]:
+# A term compiles to an int when it is a constant of zero, successors
+# and sums, to a pair ``(f, k)`` of value ``f(env) + k`` for successors
+# over anything else, and otherwise to a function of the scope, so a
+# chain of successors adds to ``k`` instead of nesting a closure each.
+
+def _term_leaf(c: Construction):
     t = type(c)
     if t is Zero:
-        return lambda env: 0
+        return 0
     if t is Var:
         name = c.name
         return lambda env: env.get(name, 0)
     raise SortError(f"eval_nat needs a term, got {t.__name__}")
 
 
-def _term_node(c: Construction, f, g=None) -> Callable[[_Scope], int]:
+def _term_node(c: Construction, a, b=None):
     t = type(c)
     if t is Succ:
-        return lambda env: f(env) + 1
-    if t is Plus:  # a shared child (g is f) is evaluated once
-        return (lambda env: 2 * f(env)) if g is f else (lambda env: f(env) + g(env))
-    if t is Times:
-        return (lambda env: f(env) ** 2) if g is f else (lambda env: f(env) * g(env))
-    raise SortError(f"eval_nat needs a term, got {t.__name__}")
+        return a + 1 if type(a) is int else (a[0], a[1] + 1) if type(a) is tuple else (a, 1)
+    if t is not Plus and t is not Times:
+        raise SortError(f"eval_nat needs a term, got {t.__name__}")
+    if t is Plus and type(a) is int and type(b) is int:
+        return a + b
+    f = _closure(a)
+    if b is a:  # a shared child is evaluated once
+        return (lambda env: 2 * f(env)) if t is Plus else (lambda env: f(env) ** 2)
+    g = _closure(b)
+    return (lambda env: f(env) + g(env)) if t is Plus else (lambda env: f(env) * g(env))
 
 
-_compile_term = _fold(_term_leaf, _term_node)
+def _closure(term) -> Callable[[_Scope], int]:
+    if type(term) is int:
+        return lambda env: term
+    if type(term) is tuple:
+        f, k = term
+        return lambda env: f(env) + k
+    return term
+
+
+_fold_term = _fold(_term_leaf, _term_node)
+
+
+def _compile_term(c: Construction) -> Callable[[_Scope], int]:
+    return _closure(_fold_term(c))
 
 
 def _compile_quantifier(c, bound: Optional[int], existential: bool):
@@ -184,9 +206,12 @@ def _compile_formula(c: Construction, bound: Optional[int]) -> Callable[[_Scope]
     if t is Or:
         f, g = _compile_formula(c.lhs, bound), _compile_formula(c.rhs, bound)
         return lambda env: f(env) or g(env)
-    if t is Not:
-        f = _compile_formula(c.arg, bound)
-        return lambda env: not f(env)
+    if t is Not:  # a chain of negations is walked in a loop; only its parity counts
+        negated = False
+        while type(c) is Not:
+            c, negated = c.arg, not negated
+        f = _compile_formula(c, bound)
+        return (lambda env: not f(env)) if negated else f
     if t is Implies:
         f, g = _compile_formula(c.lhs, bound), _compile_formula(c.rhs, bound)
         return lambda env: (not f(env)) or g(env)

@@ -54,6 +54,12 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
+    def __copy__(self):  # an immutable value is its own copy
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
@@ -92,6 +98,35 @@ class _Spine(_Record):
         for u in reversed(spine):
             h = hash((h,) if type(u) in _UNARIES else (h, h if u.rhs is u.lhs else hash(u.rhs)))
         return h
+
+    def __reduce__(self):
+        # Pickled as a flat post-order list with one entry per distinct
+        # node: a spine node's entry is its class and the indices of its
+        # children's entries, any other child's is ``(None, child)``.  A
+        # loop builds the list and one rebuilds the tree, so any depth
+        # pickles and a shared child is unpickled as one object.
+        index, entries, stack = {}, [], [self]
+        while stack:
+            c = stack.pop()
+            if id(c) in index:
+                continue
+            t = type(c)
+            kids = (c.arg,) if t in _UNARIES else (c.lhs, c.rhs) if t in _BINARIES else ()
+            todo = [k for k in kids if id(k) not in index]
+            if todo:
+                stack += [c, *reversed(todo)]
+                continue
+            index[id(c)] = len(entries)
+            entries.append((t, *[index[id(k)] for k in kids]) if kids else (None, c))
+        return _unflatten, (entries,)
+
+
+def _unflatten(entries):
+    """The tree of a :meth:`_Spine.__reduce__` list."""
+    built = []
+    for cls, *refs in entries:
+        built.append(refs[0] if cls is None else cls(*[built[i] for i in refs]))
+    return built[-1]
 
 
 class Sort(enum.Enum):

@@ -289,9 +289,9 @@ def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     assert captured.err.startswith(f"error: {line}")
 
 
-# Compiled evaluation still recurses.
+# Sums nested some thousands deep still recurse.
 @pytest.mark.parametrize("argv", [
-    ["eval", "(s " * 3000 + "z" + ")" * 3000],
+    ["eval", "(+ " * 3000 + "z" + " z)" * 3000],
 ])
 def test_recursion_limit_is_one_line(capsys, argv):
     assert run(argv) == 2
@@ -300,6 +300,21 @@ def test_recursion_limit_is_one_line(capsys, argv):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("depth", [3000, 5000])
+@pytest.mark.parametrize("head, bottom, env, answer", [
+    ("s", "z", "", lambda n: str(n)),
+    ("s", "x", "x=7", lambda n: str(n + 7)),
+    ("not", "tt", "", lambda n: "ff" if n % 2 else "tt"),
+], ids=["succ-z", "succ-x", "not-tt"])
+def test_eval_of_a_deep_chain_answers(capsys, depth, head, bottom, env, answer):
+    # A successor chain compiles to one closure plus an offset, and a
+    # negation chain to its parity; both parities are checked.
+    for n in (depth, depth + 1):
+        expr = f"({head} " * n + bottom + ")" * n
+        assert run(["eval", "--env", env, expr]) == 0
+        assert capsys.readouterr() == (answer(n) + "\n", "")
 
 
 @pytest.mark.parametrize("value, out", [

@@ -9,6 +9,7 @@ equal records of the same class.
 
 import copy
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -19,6 +20,7 @@ from biforge import (
     Zero, binnum,
 )
 from biforge.binum import _Add, _Digit
+from biforge.sexpr import parse_construction
 from biforge.presburger import QAnd, QAtom, QExists, QFalse, QForall, QOr, QTrue
 
 x = Var("x")
@@ -143,3 +145,19 @@ def test_class_patterns_match_by_position_and_keyword():
     match binnum([0, 1]):
         case BinNum(digits):
             assert digits == (0, 1)
+
+
+def test_a_2048_bit_literal_copies_and_pickles_in_linear_time():
+    # Copies are the record itself; a pickle is a flat list of distinct
+    # nodes, so no layer costs a frame and a shared child stays shared.
+    literal = parse_construction("#b" + "10" * 1024)
+    for make in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            twin = make(literal)
+            best = min(best, time.perf_counter() - start)
+        assert twin == literal and hash(twin) == hash(literal)
+        assert twin.lhs.lhs is twin.lhs.rhs
+        assert best < 0.1
+    assert copy.deepcopy(literal) is literal

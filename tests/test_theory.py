@@ -1,22 +1,24 @@
+import importlib
 import random
+import types
 
 import pytest
 
 from biforge.errors import LanguageError, NotAnAbstraction, ParseError
-from biforge.presburger import TruthValue, bounded_oracle, decide_bt6
-from biforge.recognizers import LangLevel
+from biforge.presburger import TruthValue, bounded_oracle, compile_oracle, decide_bt6
+from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment
 from biforge.sexpr import parse_construction
 from biforge.theory import (
     AXIOMS, BiformTheory, DecideL2, Morphism, Obligation,
-    RandomizedModelCheck, SchemaKind, _model_check, _strip_foralls,
+    RandomizedModelCheck, Report, ReportEntry, SchemaKind, _model_check, _strip_foralls,
     builtin_morphisms, check_axioms, check_definite_description,
     check_morphism, induction_instance, morphism, parse_theory_graph,
     registry, render_theory_graph, theory, translate,
 )
 from biforge.syntax import (
     Abs, And, Eq, Forall, Implies, Plus, Succ, TT, Times, Var, Zero,
-    is_closed,
+    free_vars, is_closed,
 )
 
 x = Var("x")
@@ -287,3 +289,199 @@ def test_graph_morphism_reports_open_and_non_level_2_obligations():
         "  open-one: Failed(well-formedness) obligation is open\n"
         "  product: Failed(decide-l2) not a level-2 sentence"
     )
+
+
+# ---------------------------------------------------------------------------
+# The checks share work within one call.  The reference below is the loop
+# in which every decided entry is decided afresh and every sample is
+# evaluated; the checks must give its report text and leave the rng in
+# its state after every entry.
+
+T = importlib.import_module("biforge.theory")
+
+
+def reference_model_check(formula, samples, bound, rng):
+    names, matrix = _strip_foralls(formula)
+    holds = T.compile_oracle(matrix, bound)
+    for _ in range(samples if names else 1):
+        values = {v: rng.randint(0, bound) for v in names}
+        if not holds(values):
+            return Environment(values)
+    return None
+
+
+def reference_discharge(subject, formula, policy, rng):
+    if isinstance(policy, RandomizedModelCheck):
+        witness = reference_model_check(formula, policy.samples, policy.bound, rng)
+        return ReportEntry(
+            subject, f"model-check[{policy.samples}x{policy.bound}]", witness is None,
+            "" if witness is None else f"counterexample {witness!r}",
+        )
+    if not is_fo(LangLevel.L2, formula):
+        return ReportEntry(subject, "decide-l2", False, "not a level-2 sentence")
+    return ReportEntry(subject, "decide-l2", T.decide_bt6(formula) is TruthValue.TRUE)
+
+
+def reference_check_morphism(m, seed=0):
+    """The report and the rng state after each entry."""
+    rng = random.Random(seed)
+    entries, states = [], []
+    for ob in m.obligations:
+        image = translate(ob.formula, m.symbol_map)
+        if free_vars(image):
+            entries.append(ReportEntry(ob.name, "well-formedness", False, "obligation is open"))
+        else:
+            entries.append(reference_discharge(ob.name, image, ob.policy, rng))
+        states.append(rng.getstate())
+    for kind in m.schema_obligations:
+        for idx, pred in enumerate(T._schema_predicates(kind)):
+            instance = translate(induction_instance(kind, pred), m.symbol_map)
+            policy = DecideL2() if is_fo(LangLevel.L2, instance) else T._SCHEMA_CHECK
+            entries.append(reference_discharge(f"{kind.value} instance {idx}", instance, policy, rng))
+            states.append(rng.getstate())
+    return Report(f"morphism check for {m.name}", entries), states
+
+
+def recorded(monkeypatch, check, *args):
+    """The report of ``check(*args)`` and the state of the rng it made
+    as each report entry was built."""
+    rngs, states = [], []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    def entry(*fields):
+        states.append(rngs[-1].getstate())
+        return ReportEntry(*fields)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(T, "random", types.SimpleNamespace(Random=Recording))
+        mp.setattr(T, "ReportEntry", entry)
+        report = check(*args)
+    assert len(rngs) == 1
+    return report, states
+
+
+def assert_same_as_reference(monkeypatch, m, seed=0):
+    report, states = recorded(monkeypatch, check_morphism, m, seed)
+    expected, expected_states = reference_check_morphism(m, seed)
+    assert report.render() == expected.render()
+    assert states == expected_states
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("name", ["BT4-to-BT7", "BT7-to-BT8"])
+def test_builtin_morphisms_match_the_reference(monkeypatch, name, seed):
+    assert_same_as_reference(monkeypatch, morphism(name), seed)
+
+
+@pytest.mark.parametrize("samples, bound", [(200, 32), (1, 0), (7, 3), (60, 16), (500, 5)])
+@pytest.mark.parametrize("name", [t.name for t in registry() if t.level is not None])
+def test_axiom_checks_match_the_reference(monkeypatch, name, samples, bound):
+    report, states = recorded(monkeypatch, check_axioms, theory(name), samples, bound, 3)
+    monkeypatch.setattr(T, "_model_check", reference_model_check)
+    expected, expected_states = recorded(monkeypatch, check_axioms, theory(name), samples, bound, 3)
+    assert report.render() == expected.render()
+    assert states == expected_states
+
+
+# Obligations for generated graph files: true and false, level 2 and
+# level 3, open, with a quantifier the oracle enumerates, with a variable
+# stripped twice, and one false only at x = 1, y = 0, which few samples hit.
+_POOL = [
+    "(forall x (= (+ x z) x))",
+    "(forall x (= (s x) x))",
+    "(forall x (forall y (= (+ x y) (+ y x))))",
+    "(exists x (= (+ x x) (s z)))",
+    "(forall x (forall y (= (* x y) (* y x))))",
+    "(forall x (= (* x x) x))",
+    "(forall x (forall y (imp (= (* x y) z) (or (= x z) (= y z)))))",
+    "(forall x (forall y (not (= (* x (s y)) (s z)))))",
+    "(forall x (or (= x z) (exists y (= (s y) x))))",
+    "(forall x (forall x (= (+ x x) (* x (s (s z))))))",
+    "(= x z)",
+]
+_MAPS = [
+    "  map 0 0\n  map S S\n  map + +\n  map * *\n",
+    "  map + *\n  map * +\n",
+    "",
+]
+
+
+def generated_graph(rng):
+    lines = ["morphism G", "  source BT7", "  target BT8"]
+    lines.append(rng.choice(_MAPS).rstrip("\n"))
+    for k in range(rng.randint(1, 9)):
+        policy = rng.choice(["decide-l2", "model-check"])
+        if policy == "model-check":
+            policy += f" {rng.choice([1, 5, 40, 200])} {rng.choice([0, 1, 3, 8])}"
+        lines.append(f"  obligation ob{k} {policy} {rng.choice(_POOL)}")
+    for kind in SchemaKind:
+        if rng.random() < 0.3:
+            lines.append(f"  schema-obligation {kind.value}")
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_graph_file_morphisms_match_the_reference(monkeypatch, seed):
+    rng = random.Random(seed)
+    _, morphisms = parse_theory_graph(generated_graph(rng))
+    assert_same_as_reference(monkeypatch, morphisms["G"], rng.randint(0, 99))
+
+
+def test_duplicate_obligations_around_model_checks_match_the_reference(monkeypatch):
+    text = (
+        "morphism D\n  source BT7\n  target BT8\n"
+        "  obligation a model-check 40 3 (forall x (= (* x x) x))\n"
+        "  obligation b decide-l2 (forall x (= (+ x z) x))\n"
+        "  obligation c decide-l2 (forall x (= (s x) x))\n"
+        "  obligation d model-check 40 3 (forall x (= (* x x) x))\n"
+        "  obligation e decide-l2 (forall x (= (+ x z) x))\n"
+        "  obligation f decide-l2 (forall x (= (* x z) z))\n"
+        "  obligation g decide-l2 (forall x (= (* x z) z))\n"
+        "  obligation h model-check 5 0 (forall x (= (+ x z) x))\n"
+        "  obligation i decide-l2 (forall x (= (s x) x))\n"
+        "  schema-obligation induction-l1\n"
+        "  schema-obligation induction-l3\n"
+    )
+    _, morphisms = parse_theory_graph(text)
+    report = check_morphism(morphisms["D"])
+    assert [(e.subject, e.passed) for e in report.entries[:9]] == [
+        ("a", False), ("b", True), ("c", False), ("d", False), ("e", True),
+        ("f", False), ("g", False), ("h", True), ("i", False),
+    ]
+    assert_same_as_reference(monkeypatch, morphisms["D"])
+
+
+def test_bt7_to_bt8_decides_and_samples_each_distinct_case_once(monkeypatch):
+    decisions, oracle_calls, instances = [], [], []
+
+    def counting_instance(kind, pred):
+        instances.append(pred)
+        return induction_instance(kind, pred)
+
+    def counting_decide(formula, *rest):
+        decisions.append(formula)
+        return decide_bt6(formula, *rest)
+
+    def counting_oracle(formula, bound):
+        holds = compile_oracle(formula, bound)
+
+        def counted(values):
+            oracle_calls.append(dict(values))
+            return holds(values)
+        return counted
+
+    monkeypatch.setattr(T, "decide_bt6", counting_decide)
+    monkeypatch.setattr(T, "compile_oracle", counting_oracle)
+    monkeypatch.setattr(T, "induction_instance", counting_instance)
+    m = morphism("BT7-to-BT8")
+    reference_check_morphism(m)
+    assert (len(decisions), len(oracle_calls)) == (17, 2002)
+    decisions.clear()
+    oracle_calls.clear()
+    check_morphism(m)
+    assert (len(decisions), len(oracle_calls), len(instances)) == (8, 692, 8)
+    assert len(set(decisions)) == 8
