@@ -159,34 +159,22 @@ def _compile_quantifier(c, bound: Optional[int], existential: bool):
     name = c.var
     body = _compile_formula(c.body, bound)
 
-    if existential:
-        def scan(env):
-            saved = env.get(name, _MISSING)
-            try:
-                for k in range(bound + 1):
-                    env[name] = k
-                    if body(env):
-                        return True
-                return False
-            finally:
-                if saved is _MISSING:
-                    del env[name]
-                else:
-                    env[name] = saved
-    else:
-        def scan(env):
-            saved = env.get(name, _MISSING)
-            try:
-                for k in range(bound + 1):
-                    env[name] = k
-                    if not body(env):
-                        return False
-                return True
-            finally:
-                if saved is _MISSING:
-                    del env[name]
-                else:
-                    env[name] = saved
+    # Every compiled truth function returns a bool object, so ``is`` is
+    # exact: the scan stops at the first value whose truth is the
+    # quantifier's own (true for exists, false for forall).
+    def scan(env):
+        saved = env.get(name, _MISSING)
+        try:
+            for k in range(bound + 1):
+                env[name] = k
+                if body(env) is existential:
+                    return existential
+            return not existential
+        finally:
+            if saved is _MISSING:
+                del env[name]
+            else:
+                env[name] = saved
 
     return scan
 
@@ -215,10 +203,8 @@ def _compile_formula(c: Construction, bound: Optional[int]) -> Callable[[_Scope]
     if t is Implies:
         f, g = _compile_formula(c.lhs, bound), _compile_formula(c.rhs, bound)
         return lambda env: (not f(env)) or g(env)
-    if t is Forall:
-        return _compile_quantifier(c, bound, existential=False)
-    if t is Exists:
-        return _compile_quantifier(c, bound, existential=True)
+    if t is Forall or t is Exists:
+        return _compile_quantifier(c, bound, existential=t is Exists)
     if t is Abs:
         raise SortError("eval_bool cannot evaluate an abstraction")
     raise SortError(f"eval_bool needs a formula, got {t.__name__}")

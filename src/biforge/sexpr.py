@@ -19,14 +19,14 @@ from typing import Optional
 from .binum import BinNum, _of_value, of_nat, to_construction, to_nat
 from .errors import ParseError
 from .syntax import (
-    Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Succ, TT, Times, Var, Zero, _BINDERS, _fold,
+    Construction, FF, TT, Var, Zero, _BINARIES, _BINDERS, _SIGNATURES, _UNARIES, _fold,
 )
 
-_RESERVED = {
-    "z", "tt", "ff", "s", "and", "or", "not", "imp", "=",
-    "+", "*", "forall", "exists", "lambda",
-}
+# A form's head is the label its node has in the sort signatures.
+_FORMS = {label: ctor for ctor, (_, _, label) in _SIGNATURES.items()}
+_CONSTANTS = {"z": Zero, "tt": TT, "ff": FF}
+_HEAD = {ctor: head for head, ctor in (_FORMS | _CONSTANTS).items()}
+_RESERVED = frozenset(_HEAD.values())
 
 _ATOM_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-'+*=#")
 
@@ -96,34 +96,26 @@ def _read(tokens: list[tuple[str, int]], i: int):
         stack[-1][3].append(node)
 
 
-_UNARY = {"s": Succ, "not": Not}
-_BINARY = {"+": Plus, "*": Times, "and": And, "or": Or, "imp": Implies, "=": Eq}
-_BINDER = {"forall": Forall, "exists": Exists, "lambda": Abs}
-
-
 def _form(head: str, pos: int, args: list) -> Construction:
-    if head in _UNARY:
+    ctor = _FORMS.get(head)
+    if ctor is None:
+        raise ParseError(f"unknown form {head!r}", pos)
+    if ctor in _UNARIES:
         if len(args) != 1:
             raise ParseError(f"({head} ...) takes one argument", pos)
-        return _UNARY[head](args[0])
-    if head in _BINARY:
+        return ctor(args[0])
+    if ctor in _BINARIES:
         if len(args) != 2:
             raise ParseError(f"({head} ...) takes two arguments", pos)
-        return _BINARY[head](args[0], args[1])
-    if head in _BINDER:
-        if len(args) != 2 or not isinstance(args[0], Var):
-            raise ParseError(f"({head} ...) takes a variable and a body", pos)
-        return _BINDER[head](args[0].name, args[1])
-    raise ParseError(f"unknown form {head!r}", pos)
+        return ctor(args[0], args[1])
+    if len(args) != 2 or not isinstance(args[0], Var):
+        raise ParseError(f"({head} ...) takes a variable and a body", pos)
+    return ctor(args[0].name, args[1])
 
 
 def _atom(token: str, pos: int) -> Construction:
-    if token == "z":
-        return Zero()
-    if token == "tt":
-        return TT()
-    if token == "ff":
-        return FF()
+    if token in _CONSTANTS:
+        return _CONSTANTS[token]()
     if token.startswith("#b"):
         return to_construction(_read_binary_literal(token, pos))
     if token in _RESERVED or token.startswith("#"):
@@ -142,10 +134,6 @@ def parse_construction(text: str) -> Construction:
     if i != len(tokens):
         raise ParseError(f"trailing input {tokens[i][0]!r}", tokens[i][1])
     return node
-
-
-_HEAD = {ctor: head for table in (_UNARY, _BINARY, _BINDER) for head, ctor in table.items()}
-_HEAD.update({Zero: "z", TT: "tt", FF: "ff"})
 
 
 def _sexpr_node(c: Construction, a: str, b: Optional[str] = None) -> str:

@@ -274,7 +274,8 @@ def _expect(got: Sort, want: Sort, context: str) -> None:
         raise SortError(f"{context} needs a {want.value} argument, got {got.value}")
 
 
-# Argument sort, result sort and printed label of each compound node.
+# Argument sort, result sort and label of each compound node; the label
+# is also the head of its form in the wire format (see sexpr).
 _SIGNATURES = {
     Succ: (Sort.NAT, Sort.NAT, "s"),
     Plus: (Sort.NAT, Sort.NAT, "+"),

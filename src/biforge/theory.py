@@ -16,10 +16,9 @@ import enum
 import functools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from . import binum
 from .errors import LanguageError, NotAnAbstraction, ParseError
 from .presburger import TruthValue, compile_oracle, decide_bt5, decide_bt6
 from .recognizers import LangLevel, is_fo, is_fo_abs
@@ -73,12 +72,11 @@ def induction_instance(kind: SchemaKind, pred: Construction) -> Construction:
 
 @dataclass(frozen=True)
 class Transformer:
-    """Descriptor tying a named operation to a theory; ``tag`` carries
-    the traditional pi-numbering used in graph listings."""
+    """Descriptor naming an operation of a theory; ``tag`` carries the
+    traditional pi-numbering used in graph listings."""
 
     name: str
     tag: str
-    func: Optional[Callable] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -211,52 +209,35 @@ def _named(names: tuple[str, ...]) -> tuple[tuple[str, Construction], ...]:
     return tuple((n, AXIOMS[n]) for n in names)
 
 
+# The tag of each transformer a built-in theory carries.
+_TRANSFORMER_TAGS = {
+    "is-fo-l1": "pi1", "is-fo-l2": "pi5", "is-fo-l3": "pi9",
+    "is-fo-l1-abs": "pi12", "is-fo-l2-abs": "pi15", "is-fo-l3-abs": "pi17",
+    "bplus": "pi3", "bplus-rewrite": "pi4", "btimes": "pi7",
+    "decide-bt5": "pi11", "decide-bt6": "pi14", "+-pred": "dd-plus", "*-pred": "dd-times",
+}
+
+
 @functools.cache
 def _theories() -> dict[str, BiformTheory]:
-    rec1 = Transformer("is-fo-l1", "pi1", lambda c: is_fo(LangLevel.L1, c))
-    rec2 = Transformer("is-fo-l2", "pi5", lambda c: is_fo(LangLevel.L2, c))
-    rec3 = Transformer("is-fo-l3", "pi9", lambda c: is_fo(LangLevel.L3, c))
-    rec1_abs = Transformer("is-fo-l1-abs", "pi12", lambda c: is_fo_abs(LangLevel.L1, c))
-    rec2_abs = Transformer("is-fo-l2-abs", "pi15", lambda c: is_fo_abs(LangLevel.L2, c))
-    rec3_abs = Transformer("is-fo-l3-abs", "pi17", lambda c: is_fo_abs(LangLevel.L3, c))
-    plus_direct = Transformer("bplus", "pi3", binum.bplus)
-    plus_rewrite = Transformer("bplus-rewrite", "pi4", binum.bplus_rewrite)
-    times_direct = Transformer("btimes", "pi7", binum.btimes)
-    dec5 = Transformer("decide-bt5", "pi11", decide_bt5)
-    dec6 = Transformer("decide-bt6", "pi14", decide_bt6)
+    def bt(name, level, extends, axioms, schemas, transformers):
+        return BiformTheory(name, level, extends, _named(axioms), schemas, tuple(
+            Transformer(n, _TRANSFORMER_TAGS[n]) for n in transformers.split()))
 
+    L1, L2, L3 = LangLevel.L1, LangLevel.L2, LangLevel.L3
     theories = [
-        BiformTheory("BT1", LangLevel.L1, (), _named(_L1_AXIOMS), (), (rec1,)),
-        BiformTheory(
-            "BT2", LangLevel.L2, ("BT1",), _named(_L2_AXIOMS), (),
-            (rec2, plus_direct, plus_rewrite),
-        ),
-        BiformTheory(
-            "BT3", LangLevel.L3, ("BT2",), _named(_L3_AXIOMS), (),
-            (rec3, plus_direct, plus_rewrite, times_direct),
-        ),
-        BiformTheory(
-            "BT4", LangLevel.L3, ("BT3",), _named(_L3_AXIOMS + ("zero-or-succ",)), (),
-            (rec3, plus_direct, plus_rewrite, times_direct),
-        ),
-        BiformTheory(
-            "BT5", LangLevel.L1, ("BT1",), _named(_L1_AXIOMS),
-            (SchemaKind.INDUCTION_L1,), (rec1, rec1_abs, dec5),
-        ),
-        BiformTheory(
-            "BT6", LangLevel.L2, ("BT2", "BT5"), _named(_L2_AXIOMS),
-            (SchemaKind.INDUCTION_L2,),
-            (rec2, rec2_abs, plus_direct, plus_rewrite, dec6),
-        ),
-        BiformTheory(
-            "BT7", LangLevel.L3, ("BT3", "BT6"), _named(_L3_AXIOMS),
-            (SchemaKind.INDUCTION_L3,),
-            (rec3, rec3_abs, plus_direct, plus_rewrite, times_direct),
-        ),
-        BiformTheory(
-            "BT8", None, ("BT1",), (), (),
-            (Transformer("+-pred", "dd-plus"), Transformer("*-pred", "dd-times")),
-        ),
+        bt("BT1", L1, (), _L1_AXIOMS, (), "is-fo-l1"),
+        bt("BT2", L2, ("BT1",), _L2_AXIOMS, (), "is-fo-l2 bplus bplus-rewrite"),
+        bt("BT3", L3, ("BT2",), _L3_AXIOMS, (), "is-fo-l3 bplus bplus-rewrite btimes"),
+        bt("BT4", L3, ("BT3",), _L3_AXIOMS + ("zero-or-succ",), (),
+           "is-fo-l3 bplus bplus-rewrite btimes"),
+        bt("BT5", L1, ("BT1",), _L1_AXIOMS, (SchemaKind.INDUCTION_L1,),
+           "is-fo-l1 is-fo-l1-abs decide-bt5"),
+        bt("BT6", L2, ("BT2", "BT5"), _L2_AXIOMS, (SchemaKind.INDUCTION_L2,),
+           "is-fo-l2 is-fo-l2-abs bplus bplus-rewrite decide-bt6"),
+        bt("BT7", L3, ("BT3", "BT6"), _L3_AXIOMS, (SchemaKind.INDUCTION_L3,),
+           "is-fo-l3 is-fo-l3-abs bplus bplus-rewrite btimes"),
+        bt("BT8", None, ("BT1",), (), (), "+-pred *-pred"),
     ]
     return {t.name.lower(): t for t in theories}
 
@@ -529,9 +510,10 @@ def check_definite_description(
     plus_candidate: Optional[Callable[[int, int], int]] = None,
     times_candidate: Optional[Callable[[int, int], int]] = None,
 ) -> Report:
-    """Check the recursion clauses pinning down addition and
-    multiplication, and that any candidate satisfying them agrees with
-    the standard operations pointwise on 0..samples."""
+    """Check pointwise on 0..samples that the candidates (addition and
+    multiplication by recursion, by default) satisfy the recursion
+    clauses pinning down addition and multiplication, and that they
+    agree with the standard operations."""
     plus_fn = plus_candidate if plus_candidate is not None else _plus_by_recursion
     times_fn = times_candidate if times_candidate is not None else _times_by_recursion
     points = range(samples + 1)
@@ -540,13 +522,15 @@ def check_definite_description(
     def clause(subject: str, ok: bool, witness: str = ""):
         entries.append(ReportEntry(subject, "pointwise", ok, witness))
 
-    bad = next((x for x in points if (x + 0) != x), None)
+    bad = next((x for x in points if plus_fn(x, 0) != x), None)
     clause("plus base clause", bad is None, "" if bad is None else f"x={bad}")
-    bad2 = next(((x, y) for x in points for y in points if x + (y + 1) != (x + y) + 1), None)
+    bad2 = next(((x, y) for x in points for y in points
+                 if plus_fn(x, y + 1) != plus_fn(x, y) + 1), None)
     clause("plus step clause", bad2 is None, "" if bad2 is None else f"{bad2}")
-    bad = next((x for x in points if x * 0 != 0), None)
+    bad = next((x for x in points if times_fn(x, 0) != 0), None)
     clause("times base clause", bad is None, "" if bad is None else f"x={bad}")
-    bad2 = next(((x, y) for x in points for y in points if x * (y + 1) != x * y + x), None)
+    bad2 = next(((x, y) for x in points for y in points
+                 if times_fn(x, y + 1) != times_fn(x, y) + x), None)
     clause("times step clause", bad2 is None, "" if bad2 is None else f"{bad2}")
 
     bad2 = next(((x, y) for x in points for y in points if plus_fn(x, y) != x + y), None)

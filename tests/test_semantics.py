@@ -2,13 +2,13 @@ import pytest
 
 from biforge.errors import ParseError, QuantifierEncountered, SortError
 from biforge.semantics import (
-    Bounded, Environment, QUANTIFIER_FREE, eval_bool, eval_nat, override,
-    parse_environment,
+    Bounded, Environment, QUANTIFIER_FREE, compile_bool, eval_bool, eval_nat,
+    override, parse_environment,
 )
 from biforge.syntax import (
     And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var, Zero,
 )
-from .conftest import random_matrix
+from .conftest import random_matrix, random_sentence
 
 x = Var("x")
 y = Var("y")
@@ -104,3 +104,38 @@ def test_bound_monotonicity():
     assert not eval_bool(falsified_at_7, e, Bounded(7))
     for b in range(8, 20):
         assert not eval_bool(falsified_at_7, e, Bounded(b))
+
+
+def _brute(f, env, bound):
+    """Truth of a prenex formula with each quantifier a Python loop over
+    0..bound and the matrix compiled quantifier-free."""
+    if type(f) in (Forall, Exists):
+        verdicts = (_brute(f.body, {**env, f.var: k}, bound) for k in range(bound + 1))
+        return all(verdicts) if type(f) is Forall else any(verdicts)
+    return compile_bool(f)(dict(env))
+
+
+def test_bounded_quantifiers_return_bools_and_agree_with_loops(rng):
+    # One scan serves both quantifiers and compares the body's verdict
+    # with ``is``, which is exact only if every truth function returns a
+    # bool object; the verdicts are those of looping over the bound.
+    bound = Bounded(3)
+    envs = [{}, {"x": 1}, {"x": 3, "y": 2, "w": 0}]
+    for _ in range(200):
+        sentence = random_sentence(rng)
+        verdict = compile_bool(sentence, bound)({})
+        assert type(verdict) is bool
+        assert verdict == _brute(sentence, {}, 3)
+        matrix = random_matrix(rng, ["x", "y", "w"], 3)
+        for quantified in (Forall("x", matrix), Exists("y", matrix), Not(Exists("w", matrix)),
+                           And(matrix, Forall("y", matrix)), Implies(sentence, matrix),
+                           Or(matrix, sentence)):
+            holds = compile_bool(quantified, bound)
+            for env in envs:
+                scope = dict(env)
+                assert type(holds(scope)) is bool
+                assert scope == env
+        for env in envs:
+            for q in (Forall, Exists):
+                assert compile_bool(q("x", matrix), bound)(dict(env)) == _brute(
+                    q("x", matrix), env, 3)

@@ -163,3 +163,16 @@ def test_binnum_literal_is_canonical():
     assert binnum_literal(binnum([0, 1, 1])) == "#b110"
     assert binnum_literal(binnum([1, 0, 0])) == "#b1"
     assert binnum_literal(binnum([0, 0])) == "#b0"
+
+
+def test_reader_tables_come_from_the_sort_signatures():
+    from biforge.sexpr import _FORMS, _RESERVED
+
+    assert _RESERVED == {
+        "z", "tt", "ff", "s", "and", "or", "not", "imp", "=",
+        "+", "*", "forall", "exists", "lambda",
+    }
+    assert _FORMS == {
+        "s": Succ, "not": Not, "+": Plus, "*": Times, "and": And, "or": Or,
+        "imp": Implies, "=": Eq, "forall": Forall, "exists": Exists, "lambda": Abs,
+    }

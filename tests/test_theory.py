@@ -76,6 +76,22 @@ def test_registry_transformer_placement():
     assert "decide-bt6" in {tr.name for tr in theories["BT6"].transformers}
 
 
+def test_registry_transformer_listing():
+    # A transformer descriptor is a name and a tag, in this order per theory.
+    listing = [(t.name, [(tr.name, tr.tag) for tr in t.transformers]) for t in registry()]
+    plus = [("bplus", "pi3"), ("bplus-rewrite", "pi4")]
+    assert listing == [
+        ("BT1", [("is-fo-l1", "pi1")]),
+        ("BT2", [("is-fo-l2", "pi5"), *plus]),
+        ("BT3", [("is-fo-l3", "pi9"), *plus, ("btimes", "pi7")]),
+        ("BT4", [("is-fo-l3", "pi9"), *plus, ("btimes", "pi7")]),
+        ("BT5", [("is-fo-l1", "pi1"), ("is-fo-l1-abs", "pi12"), ("decide-bt5", "pi11")]),
+        ("BT6", [("is-fo-l2", "pi5"), ("is-fo-l2-abs", "pi15"), *plus, ("decide-bt6", "pi14")]),
+        ("BT7", [("is-fo-l3", "pi9"), ("is-fo-l3-abs", "pi17"), *plus, ("btimes", "pi7")]),
+        ("BT8", [("+-pred", "dd-plus"), ("*-pred", "dd-times")]),
+    ]
+
+
 def test_level_gating_asserted_at_construction():
     with pytest.raises(ValueError):
         BiformTheory(
@@ -181,6 +197,21 @@ def test_definite_description_rejects_wrong_function():
     assert not report.ok
     failing = {e.subject for e in report.entries if not e.passed}
     assert "plus uniqueness" in failing
+
+
+def test_definite_description_clauses_check_the_candidate():
+    report = check_definite_description(16, plus_candidate=lambda a, b: b)
+    failing = {e.subject: e.detail for e in report.entries if not e.passed}
+    assert failing["plus base clause"] == "x=1"
+    assert "plus uniqueness" in failing
+    wrong_times = check_definite_description(8, times_candidate=lambda a, b: a * b + (a == 3))
+    failing = {e.subject: e.detail for e in wrong_times.entries if not e.passed}
+    assert failing["times base clause"] == "x=3"
+    assert "times uniqueness" in failing
+    assert "times step clause" not in failing
+    doubling = check_definite_description(4, plus_candidate=lambda a, b: a + 2 * b)
+    assert {e.subject: e.detail for e in doubling.entries if not e.passed} == {
+        "plus step clause": "(0, 0)", "plus uniqueness": "disagrees at (0, 1)"}
 
 
 def test_theory_graph_keeps_binary_literals():
