@@ -335,16 +335,9 @@ _RULES = (
 )
 
 
-def _render(t: RewriteTerm) -> str:
-    from .sexpr import to_sexpr  # deferred: sexpr imports this module
-
-    match t:
-        case _Add(l, r):
-            return f"(bplus {_render(l)} {_render(r)})"
-        case _Digit(h, low):
-            return f"(digit {_render(h)} {to_sexpr(low)})"
-        case _:
-            return to_sexpr(t)
+def _literal(c: Construction) -> str:
+    """The ``#b`` text of the numeral term ``c``, high zeros kept."""
+    return "#b" + bytes(_read(c)[0])[::-1].translate(_BYTE_CHAR).decode()
 
 
 def _reduce(t: RewriteTerm) -> Construction:
@@ -356,7 +349,7 @@ def _reduce(t: RewriteTerm) -> Construction:
                 out = rule(lhs, rhs)
                 if out is not None:
                     return _reduce(out)
-            raise StuckRewrite(_Add(lhs, rhs), _render(_Add(lhs, rhs)))
+            raise StuckRewrite(_Add(lhs, rhs), f"(bplus {_literal(lhs)} {_literal(rhs)})")
         case _Digit(h, low):
             high = _reduce(h)
             return Plus(Plus(high, high), low)
@@ -375,5 +368,6 @@ def bplus_rewrite(a: Construction, b: Construction) -> Construction:
     _read_or_raise(b, "right operand is not a numeral term")
     result = _reduce(_Add(a, b))
     if not is_bnum(result):
-        raise StuckRewrite(result, _render(result))
+        from .sexpr import to_sexpr  # deferred: sexpr imports this module
+        raise StuckRewrite(result, to_sexpr(result))
     return result

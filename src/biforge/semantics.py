@@ -12,13 +12,12 @@ enumerations affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import ParseError, QuantifierEncountered, SortError
 from .syntax import (
     Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Succ, TT, Times, Var, Zero, _fold,
+    Plus, Succ, TT, Times, Var, Zero, _fold, _Record,
 )
 
 
@@ -78,16 +77,16 @@ def parse_environment(text: str) -> Environment:
     return Environment(bindings)
 
 
-@dataclass(frozen=True)
-class QuantifierFree:
+class QuantifierFree(_Record):
     """Strategy that refuses quantifiers outright."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Bounded:
-    """Strategy where quantifiers range over 0..bound inclusive."""
 
-    bound: int
+class Bounded(_Record):
+    """Strategy where quantifiers range over 0..``bound`` inclusive."""
+
+    __slots__ = ("bound",)
 
     def __post_init__(self):
         if self.bound < 0:

@@ -23,20 +23,23 @@ class _Record:
     descriptor, then calls ``__post_init__`` where one is defined;
     ``__match_args__``; and, unless it or a base below this one defines
     ``__eq__``, a field-wise ``__eq__`` within one class and the
-    matching ``__hash__``.  Assignment and deletion raise
-    FrozenInstanceError."""
+    matching ``__hash__``.  A class may declare ``_defaults``, a dict
+    from its last fields to their default values.  Assignment and
+    deletion raise FrozenInstanceError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         names = cls.__slots__
+        defaults = cls.__dict__.get("_defaults", {})
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
         own = "".join(f"self.{n}, " for n in names)
         other = "".join(f"other.{n}, " for n in names)
         init = [f"_set_{n}(self, {n})" for n in names]
         if hasattr(cls, "__post_init__"):
             init.append("self.__post_init__()")
-        scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-        exec(f"def __init__(self, {', '.join(names)}):\n {'; '.join(init) or 'pass'}\n"
+        scope = {"_defaults": defaults} | {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        exec(f"def __init__(self, {params}):\n {'; '.join(init) or 'pass'}\n"
              f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
              f"  return ({own}) == ({other})\n return NotImplemented\n"
              f"def __hash__(self):\n return hash(({own}))\n", scope)

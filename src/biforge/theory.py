@@ -16,7 +16,6 @@ import enum
 import functools
 import random
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .errors import LanguageError, NotAnAbstraction, ParseError
@@ -26,7 +25,7 @@ from .semantics import Environment
 from .sexpr import parse_construction, to_sexpr
 from .syntax import (
     Abs, And, Construction, Eq, Exists, Forall, Implies, Not, Or,
-    Plus, Succ, Times, Var, Zero, _fold, abs_body, free_vars, is_abs, substitute,
+    Plus, Succ, Times, Var, Zero, _fold, _Record, abs_body, free_vars, is_abs, substitute,
 )
 
 
@@ -70,23 +69,18 @@ def induction_instance(kind: SchemaKind, pred: Construction) -> Construction:
 # ---------------------------------------------------------------------------
 # Theory and morphism records.
 
-@dataclass(frozen=True)
-class Transformer:
+class Transformer(_Record):
     """Descriptor naming an operation of a theory; ``tag`` carries the
     traditional pi-numbering used in graph listings."""
 
-    name: str
-    tag: str
+    __slots__ = ("name", "tag")
 
 
-@dataclass(frozen=True)
-class BiformTheory:
-    name: str
-    level: Optional[LangLevel]  # None marks the higher-order theory
-    extends: tuple[str, ...]
-    axioms: tuple[tuple[str, Construction], ...]
-    schemas: tuple[SchemaKind, ...] = ()
-    transformers: tuple[Transformer, ...] = ()
+class BiformTheory(_Record):
+    """A theory; its ``level`` is None for the higher-order theory."""
+
+    __slots__ = ("name", "level", "extends", "axioms", "schemas", "transformers")
+    _defaults = {"schemas": (), "transformers": ()}
 
     def __post_init__(self):
         for axiom_name, formula in self.axioms:
@@ -102,22 +96,21 @@ class BiformTheory:
                     raise ValueError(f"schema {kind.value} exceeds level of {self.name}")
 
 
-@dataclass(frozen=True)
-class DecideL2:
+class DecideL2(_Record):
     """Discharge by the level-2 decision procedure."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RandomizedModelCheck:
+
+class RandomizedModelCheck(_Record):
     """Discharge by sampling assignments in the standard model.
 
     Leading universal quantifiers are stripped and their variables
-    sampled from 0..bound; remaining quantifiers are evaluated by the
-    bounded oracle at the same bound.
+    sampled ``samples`` times from 0..``bound``; remaining quantifiers
+    are evaluated by the bounded oracle at the same bound.
     """
 
-    samples: int
-    bound: int
+    __slots__ = ("samples", "bound")
 
     def __post_init__(self):
         # Reject a sample count that would check nothing, or a negative bound.
@@ -130,21 +123,14 @@ class RandomizedModelCheck:
 DischargePolicy = Union[DecideL2, RandomizedModelCheck]
 
 
-@dataclass(frozen=True)
-class Obligation:
-    name: str
-    formula: Construction
-    policy: DischargePolicy
+class Obligation(_Record):
+    __slots__ = ("name", "formula", "policy")
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: str
-    source: str
-    target: str
-    symbol_map: tuple[tuple[str, str], ...]
-    obligations: tuple[Obligation, ...]
-    schema_obligations: tuple[SchemaKind, ...] = ()
+class Morphism(_Record):
+    __slots__ = ("name", "source", "target", "symbol_map", "obligations",
+                 "schema_obligations")
+    _defaults = {"schema_obligations": ()}
 
 
 _NULLARY = {"0": Zero}
@@ -306,12 +292,9 @@ def morphism(name: str) -> Morphism:
 # ---------------------------------------------------------------------------
 # Reports.
 
-@dataclass(frozen=True)
-class ReportEntry:
-    subject: str
-    method: str
-    passed: bool
-    detail: str = ""
+class ReportEntry(_Record):
+    __slots__ = ("subject", "method", "passed", "detail")
+    _defaults = {"detail": ""}
 
     def render(self) -> str:
         status = "Discharged" if self.passed else "Failed"
@@ -321,10 +304,8 @@ class ReportEntry:
         return line
 
 
-@dataclass
-class Report:
-    title: str
-    entries: list[ReportEntry]
+class Report(_Record):
+    __slots__ = ("title", "entries")  # entries: a tuple of ReportEntry
 
     @property
     def ok(self) -> bool:
@@ -401,7 +382,7 @@ def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
             entries.append(ReportEntry(name, "decide-bt6", verdict is TruthValue.TRUE))
         else:
             entries.append(_sampled(name, "bounded-oracle", formula, check, rng))
-    return Report(f"axiom check for {t.name}", entries)
+    return Report(f"axiom check for {t.name}", tuple(entries))
 
 
 # Fixed predicate corpora for sampling schema obligations.
@@ -485,7 +466,7 @@ def check_morphism(m: Morphism, seed: int = 0) -> Report:
             instance, policy = instances[pred]
             entries.append(
                 _discharge(f"{kind.value} instance {idx}", instance, policy, rng, decided))
-    return Report(f"morphism check for {m.name}", entries)
+    return Report(f"morphism check for {m.name}", tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -517,28 +498,26 @@ def check_definite_description(
     plus_fn = plus_candidate if plus_candidate is not None else _plus_by_recursion
     times_fn = times_candidate if times_candidate is not None else _times_by_recursion
     points = range(samples + 1)
+    pairs, bases = [(x, y) for x in points for y in points], [(x, 0) for x in points]
+    # Each candidate is called once per point: row x holds fn(x, 0..samples + 1).
+    plus = [[plus_fn(x, y) for y in range(samples + 2)] for x in points]
+    times = [[times_fn(x, y) for y in range(samples + 2)] for x in points]
     entries = []
 
-    def clause(subject: str, ok: bool, witness: str = ""):
-        entries.append(ReportEntry(subject, "pointwise", ok, witness))
+    def clause(subject: str, cases, fails, witness: str):
+        bad = next((p for p in cases if fails(*p)), None)
+        entries.append(ReportEntry(subject, "pointwise", bad is None,
+                                   "" if bad is None else witness.format(*bad)))
 
-    bad = next((x for x in points if plus_fn(x, 0) != x), None)
-    clause("plus base clause", bad is None, "" if bad is None else f"x={bad}")
-    bad2 = next(((x, y) for x in points for y in points
-                 if plus_fn(x, y + 1) != plus_fn(x, y) + 1), None)
-    clause("plus step clause", bad2 is None, "" if bad2 is None else f"{bad2}")
-    bad = next((x for x in points if times_fn(x, 0) != 0), None)
-    clause("times base clause", bad is None, "" if bad is None else f"x={bad}")
-    bad2 = next(((x, y) for x in points for y in points
-                 if times_fn(x, y + 1) != times_fn(x, y) + x), None)
-    clause("times step clause", bad2 is None, "" if bad2 is None else f"{bad2}")
-
-    bad2 = next(((x, y) for x in points for y in points if plus_fn(x, y) != x + y), None)
-    clause("plus uniqueness", bad2 is None, "" if bad2 is None else f"disagrees at {bad2}")
-    bad2 = next(((x, y) for x in points for y in points if times_fn(x, y) != x * y), None)
-    clause("times uniqueness", bad2 is None, "" if bad2 is None else f"disagrees at {bad2}")
-
-    return Report("definite-description check", entries)
+    clause("plus base clause", bases, lambda x, _: plus[x][0] != x, "x={}")
+    clause("plus step clause", pairs, lambda x, y: plus[x][y + 1] != plus[x][y] + 1, "({}, {})")
+    clause("times base clause", bases, lambda x, _: times[x][0] != 0, "x={}")
+    clause("times step clause", pairs,
+           lambda x, y: times[x][y + 1] != times[x][y] + x, "({}, {})")
+    clause("plus uniqueness", pairs, lambda x, y: plus[x][y] != x + y, "disagrees at ({}, {})")
+    clause("times uniqueness", pairs, lambda x, y: times[x][y] != x * y,
+           "disagrees at ({}, {})")
+    return Report("definite-description check", tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -549,72 +528,104 @@ def check_definite_description(
 _COMMENT = re.compile(r"#(?!b).*")
 
 
+def _one_of(what: str, words: dict) -> tuple[Callable, Callable]:
+    """Reader and writer of a field whose values are each one word."""
+    values = {word: value for value, word in words.items()}
+
+    def read(text: str):
+        if text not in values:
+            raise ValueError(f"{what} {text!r}")
+        return values[text]
+
+    return read, words.__getitem__
+
+
+def _read_axiom(text: str) -> tuple[str, Construction]:
+    name, _, body = text.partition(" ")
+    return name, parse_construction(body)
+
+
+def _read_map(text: str) -> tuple[str, str]:
+    pair = tuple(text.split())
+    if len(pair) != 2:
+        raise ValueError(f"map needs two symbols, got {text!r}")
+    return pair
+
+
+def _read_obligation(text: str) -> Obligation:
+    name, _, text = text.partition(" ")
+    word, _, body = text.partition(" ")
+    if word == "decide-l2":
+        policy: DischargePolicy = DecideL2()
+    elif word == "model-check":
+        samples, _, body = body.partition(" ")
+        bound, _, body = body.partition(" ")
+        policy = RandomizedModelCheck(int(samples), int(bound))
+    else:
+        raise ValueError(f"unknown policy {word!r}")
+    return Obligation(name, parse_construction(body), policy)
+
+
+def _write_obligation(ob: Obligation) -> str:
+    policy = ("decide-l2" if isinstance(ob.policy, DecideL2)
+              else f"model-check {ob.policy.samples} {ob.policy.bound}")
+    return f"{ob.name} {policy} {to_sexpr(ob.formula)}"
+
+
+_LEVEL = _one_of("bad level", {None: "higher-order", **{v: str(v.value) for v in LangLevel}})
+_SCHEMA = _one_of("unknown schema kind", {k: k.value for k in SchemaKind})
+
+# The record kinds of the format: each kind's class and its directives in
+# print order.  A directive names the field it fills, the field's value
+# before the record's first such line (a tuple, which each line extends,
+# for a directive that repeats; otherwise the value a line replaces),
+# and how a value is read from and written to the rest of its line.
+_GRAPH = {
+    "theory": (BiformTheory, {
+        "level": ("level", None, *_LEVEL),
+        "extends": ("extends", (), str, str),
+        "axiom": ("axioms", (), _read_axiom, lambda a: f"{a[0]} {to_sexpr(a[1])}"),
+        "schema": ("schemas", (), *_SCHEMA),
+    }),
+    "morphism": (Morphism, {
+        "source": ("source", "", str, str),
+        "target": ("target", "", str, str),
+        "map": ("symbol_map", (), _read_map, " ".join),
+        "obligation": ("obligations", (), _read_obligation, _write_obligation),
+        "schema-obligation": ("schema_obligations", (), *_SCHEMA),
+    }),
+}
+
+
 def render_theory_graph(theories: list[BiformTheory], morphisms: list[Morphism]) -> str:
     lines: list[str] = []
-    for t in theories:
-        level = "higher-order" if t.level is None else str(t.level.value)
-        lines.append(f"theory {t.name}")
-        lines.append(f"  level {level}")
-        for parent in t.extends:
-            lines.append(f"  extends {parent}")
-        for name, formula in t.axioms:
-            lines.append(f"  axiom {name} {to_sexpr(formula)}")
-        for kind in t.schemas:
-            lines.append(f"  schema {kind.value}")
-        lines.append("")
-    for m in morphisms:
-        lines.append(f"morphism {m.name}")
-        lines.append(f"  source {m.source}")
-        lines.append(f"  target {m.target}")
-        for a, b in m.symbol_map:
-            lines.append(f"  map {a} {b}")
-        for ob in m.obligations:
-            match ob.policy:
-                case DecideL2():
-                    policy = "decide-l2"
-                case RandomizedModelCheck(samples, bound):
-                    policy = f"model-check {samples} {bound}"
-            lines.append(f"  obligation {ob.name} {policy} {to_sexpr(ob.formula)}")
-        for kind in m.schema_obligations:
-            lines.append(f"  schema-obligation {kind.value}")
-        lines.append("")
+    for kind, records in (("theory", theories), ("morphism", morphisms)):
+        for r in records:
+            lines.append(f"{kind} {r.name}")
+            for word, (field, start, _, write) in _GRAPH[kind][1].items():
+                value = getattr(r, field)
+                for v in value if isinstance(start, tuple) else (value,):
+                    lines.append(f"  {word} {write(v)}")
+            lines.append("")
     return "\n".join(lines)
 
 
 def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Morphism]]:
     """Parse the line-oriented graph description format produced by
-    :func:`render_theory_graph`."""
-    theories: dict[str, BiformTheory] = {}
-    morphisms: dict[str, Morphism] = {}
-    current: Optional[dict] = None
+    :func:`render_theory_graph`.  Each record kind takes only its own
+    directives.  A fault in a line raises a ParseError naming that line
+    as the line is read; a record is built when its block ends, and a
+    fault in it names its header's line."""
+    records: dict[str, dict] = {"theory": {}, "morphism": {}}
+    kind = None  # the open record's kind, header line, fields and directives
 
     def close():
-        nonlocal current
-        if current is None:
-            return
-        if current["kind"] == "theory":
+        if kind is not None:
             try:
-                t = BiformTheory(
-                    name=current["name"],
-                    level=current["level"],
-                    extends=tuple(current["extends"]),
-                    axioms=tuple(current["axioms"]),
-                    schemas=tuple(current["schemas"]),
-                )
+                record = _GRAPH[kind][0](**fields)
             except ValueError as err:
-                raise ParseError(f"line {current['line']}: {err}", 0) from None
-            theories[t.name] = t
-        else:
-            m = Morphism(
-                name=current["name"],
-                source=current["source"],
-                target=current["target"],
-                symbol_map=tuple(current["map"]),
-                obligations=tuple(current["obligations"]),
-                schema_obligations=tuple(current["schemas"]),
-            )
-            morphisms[m.name] = m
-        current = None
+                raise ParseError(f"line {header}: {err}", 0) from None
+            records[kind][record.name] = record
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw).strip()
@@ -622,55 +633,25 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head in ("theory", "morphism"):
+        if head in _GRAPH:
             close()
-            current = {
-                "kind": head, "line": lineno, "name": rest, "level": None, "extends": [],
-                "axioms": [], "schemas": [], "map": [], "obligations": [],
-                "source": "", "target": "",
-            }
-            continue
-        if current is None:
-            raise ParseError(f"line {lineno}: directive outside a record", 0)
-        if head == "level":
-            try:
-                current["level"] = None if rest == "higher-order" else LangLevel(int(rest))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad level {rest!r}", 0) from None
-        elif head == "extends":
-            current["extends"].append(rest)
-        elif head == "axiom":
-            name, _, body = rest.partition(" ")
-            current["axioms"].append((name, parse_construction(body)))
-        elif head in ("schema", "schema-obligation"):
-            try:
-                current["schemas"].append(SchemaKind(rest))
-            except ValueError:
-                raise ParseError(f"line {lineno}: unknown schema kind {rest!r}", 0) from None
-        elif head == "source":
-            current["source"] = rest
-        elif head == "target":
-            current["target"] = rest
-        elif head == "map":
-            a, _, b = rest.partition(" ")
-            current["map"].append((a, b.strip()))
-        elif head == "obligation":
-            name, _, tail = rest.partition(" ")
-            policy_word, _, tail = tail.partition(" ")
-            if policy_word == "decide-l2":
-                policy: DischargePolicy = DecideL2()
-                body = tail
-            elif policy_word == "model-check":
-                samples_word, _, tail = tail.partition(" ")
-                bound_word, _, body = tail.partition(" ")
-                try:
-                    policy = RandomizedModelCheck(int(samples_word), int(bound_word))
-                except ValueError as err:
-                    raise ParseError(f"line {lineno}: {err}", 0) from None
+            kind, header, directives = head, lineno, _GRAPH[head][1]
+            fields = {"name": rest} | {f: start for f, start, *_ in directives.values()}
+        try:
+            if head in _GRAPH:
+                if not rest:
+                    raise ValueError(f"{head} needs a name")
+            elif kind is None:
+                raise ValueError("directive outside a record")
+            elif head not in directives:
+                raise ValueError(f"unknown {kind} directive {head!r}")
             else:
-                raise ParseError(f"line {lineno}: unknown policy {policy_word!r}", 0)
-            current["obligations"].append(Obligation(name, parse_construction(body), policy))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {head!r}", 0)
+                field, start, read, _ = directives[head]
+                value = read(rest)
+                fields[field] = fields[field] + (value,) if isinstance(start, tuple) else value
+        except ParseError as err:
+            raise ParseError(f"line {lineno}: {err.message}", err.position) from None
+        except ValueError as err:
+            raise ParseError(f"line {lineno}: {err}", 0) from None
     close()
-    return theories, morphisms
+    return records["theory"], records["morphism"]

@@ -90,6 +90,21 @@ def test_bplus_rewrite_stuck(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("a, b, redex", [
+    ("1", "3", "(bplus #b1 #b11)"),
+    ("#b1", "#b0011", "(bplus #b1 #b0011)"),
+    ("#b1", "#b" + "1" * 400, "(bplus #b1 #b" + "1" * 400 + ")"),
+])
+def test_stuck_rewrite_message_prints_the_redex_as_literals(capsys, a, b, redex):
+    # The operands print most-significant digit first, high zeros kept,
+    # in text as long as their digits: a 400-bit message is under 1 KB.
+    assert run(["bplus", "--rewrite", a, b]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no rewrite rule applies to {redex}\n"
+    assert len(captured.err) < 1024
+
+
 def test_btimes(capsys):
     code = run(["btimes", "6", "7"])
     assert capsys.readouterr().out == "#b101010\n"
@@ -128,6 +143,18 @@ def test_check_morphism(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "zero-or-succ: Discharged(decide-l2)" in out
+
+
+def test_rendered_builtin_graph_file_checks_like_the_builtins(tmp_path, capsys):
+    from biforge.theory import builtin_morphisms, registry, render_theory_graph
+
+    path = tmp_path / "graph.txt"
+    path.write_text(render_theory_graph(registry(), builtin_morphisms()))
+    argvs = [["check-theory", t.name] for t in registry()]
+    argvs += [["check-morphism", m.name] for m in builtin_morphisms()]
+    for argv in argvs:
+        builtin = run(argv), capsys.readouterr()
+        assert (run(argv + ["--graph", str(path)]), capsys.readouterr()) == builtin
 
 
 def test_check_theory_from_graph_file(tmp_path, capsys):
@@ -278,6 +305,23 @@ def test_module_entry_point():
 @pytest.mark.parametrize("text, line", [
     ("theory T\n  level 2\n  schema induction-l9\n", "line 3: unknown schema kind"),
     ("# header\n\ntheory T\n  level 2\n  axiom open (= x z)\n", "line 3: axiom open of T"),
+    # A directive of the other record kind.
+    ("theory T\n  level 2\n  source BT1\n", "line 3: unknown theory directive 'source'"),
+    ("morphism M\n  source BT3\n  axiom a (= z z)\n",
+     "line 3: unknown morphism directive 'axiom'"),
+    ("theory T\n  level 2\n  obligation a decide-l2 (= z z)\n",
+     "line 3: unknown theory directive 'obligation'"),
+    # A record is built when its block ends, before the next block is read.
+    ("theory T\n  level 2\n  axiom open (= x z)\n\ntheory U\n  bogus\n",
+     "line 1: axiom open of T is not closed"),
+    # Reader errors carry their position once.
+    ("theory T\n  level 2\n  axiom a (= z z\n", "line 3: unclosed '(' (at position 0)\n"),
+    ("theory T\n  level 2\n  axiom a\n", "line 3: empty input (at position 0)\n"),
+    ("morphism M\n  obligation a decide-l2 (= z z))\n",
+     "line 2: trailing input ')' (at position 7)\n"),
+    ("morphism M\n  map 0\n", "line 2: map needs two symbols, got '0'"),
+    ("theory\n  level 2\n", "line 1: theory needs a name"),
+    ("theory T\n  level 2\nmorphism # no name\n", "line 3: morphism needs a name"),
 ])
 def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     path = tmp_path / "graph.txt"

@@ -1,5 +1,6 @@
 """The immutable record types: syntax nodes, linear terms, atoms and
-formulas, elimination records, numerals and rewrite terms.
+formulas, elimination records, numerals, rewrite terms, evaluation
+strategies, and theory, morphism and report records.
 
 Records of one class compare and hash field by field, records of two
 classes are unequal, the repr is ``Name(field=value, ...)``, assignment
@@ -20,11 +21,19 @@ from biforge import (
     Zero, binnum,
 )
 from biforge.binum import _Add, _Digit
+from biforge.recognizers import LangLevel
+from biforge.semantics import Bounded, QuantifierFree
 from biforge.sexpr import parse_construction
 from biforge.presburger import QAnd, QAtom, QExists, QFalse, QForall, QOr, QTrue
+from biforge.theory import (
+    AXIOMS, BiformTheory, DecideL2, Morphism, Obligation, RandomizedModelCheck,
+    Report, ReportEntry, SchemaKind, Transformer,
+)
 
 x = Var("x")
 t = LinearTerm.make({"x": 2}, 1)
+ob = Obligation("plus-zero", AXIOMS["plus-zero"], RandomizedModelCheck(5, 3))
+entry = ReportEntry("plus-zero", "decide-l2", False, "not a level-2 sentence")
 
 SAMPLES = [
     Zero(), Succ(x), Plus(x, Zero()), Times(x, x), x, TT(), FF(),
@@ -35,6 +44,12 @@ SAMPLES = [
     QAtom(EqZero(t)), QAnd(QTrue(), QFalse()), QOr(QTrue(), QTrue()),
     QForall("x", QTrue()), QExists("x", QFalse()), Elimination("x", (t,), 2),
     binnum([1, 0, 1]), _Add(Zero(), Zero()), _Digit(Zero(), Succ(Zero())),
+    QuantifierFree(), Bounded(3), Transformer("bplus", "pi3"),
+    BiformTheory("T", LangLevel.L2, ("BT1",), (("plus-zero", AXIOMS["plus-zero"]),),
+                 (SchemaKind.INDUCTION_L2,), (Transformer("bplus", "pi3"),)),
+    DecideL2(), RandomizedModelCheck(5, 3), ob,
+    Morphism("M", "BT2", "BT7", (("+", "+"),), (ob,), (SchemaKind.INDUCTION_L1,)),
+    entry, Report("check", (entry, entry)),
 ]
 
 
@@ -121,8 +136,20 @@ def test_constructors_take_fields_by_keyword_and_run_their_checks():
     assert Divides(term=t, d=3) == Divides(3, t)
     assert BinNum([1, 0]).digits == binnum([1, 0]).digits
     for build in (lambda: Var(""), lambda: Forall("", TT()), lambda: Abs("", TT()),
-                  lambda: Divides(0, t), lambda: BinNum(())):
+                  lambda: Divides(0, t), lambda: BinNum(()), lambda: Bounded(-1),
+                  lambda: RandomizedModelCheck(0, 3)):
         with pytest.raises(ValueError):
+            build()
+
+
+def test_declared_defaults_fill_only_the_last_fields():
+    assert ReportEntry("s", "m", True) == ReportEntry("s", "m", True, "")
+    assert BiformTheory("T", None, (), ()).schemas == ()
+    assert BiformTheory(name="T", level=None, extends=(), axioms=()).transformers == ()
+    assert Morphism("M", "A", "B", (), ()).schema_obligations == ()
+    for build in (lambda: ReportEntry("s", "m"), lambda: Obligation("a", TT()),
+                  lambda: Morphism("M", "A", "B", ())):
+        with pytest.raises(TypeError):
             build()
 
 
