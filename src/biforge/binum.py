@@ -17,7 +17,7 @@ length its defining clauses give.  One walk down a numeral term's
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import NotBnum, StuckRewrite
 from .syntax import Construction, Plus, Succ, Zero, _Record
@@ -68,11 +68,9 @@ def binnum(digits: Iterable[int]) -> BinNum:
     return BinNum(tuple(digits))
 
 
-# Raw-tuple helpers compute on Python ints and emit the digit tuple
-# once; public operations wrap them.  They return exactly the digit
-# tuples of the clause-by-clause recursions in the docstrings of
-# :func:`bplus` and :func:`btimes`: the int's digits, padded with high
-# zeros to the length those clauses give.
+# ``_value`` and ``_of_value`` convert between digit tuples and Python
+# ints; the arithmetic below computes on ints and emits the digit tuple
+# once.
 
 _BYTE_CHAR = bytes.maketrans(b"\0\1", b"01")
 _CHAR_DIGIT = {"0": _D0, "1": _D1}
@@ -86,24 +84,6 @@ def _of_value(v: int, length: int = 1) -> tuple[BinDigit, ...]:
     """The digits of ``v``, least-significant first, padded to ``length``."""
     digits = tuple(map(_CHAR_DIGIT.__getitem__, bin(v)[:1:-1]))
     return digits + (_D0,) * (length - len(digits))
-
-
-def _bplus(a: tuple[BinDigit, ...], b: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
-    return _of_value(_value(a) + _value(b), max(len(a), len(b)))
-
-
-def _btimes(x: tuple[BinDigit, ...], y: tuple[BinDigit, ...]) -> tuple[BinDigit, ...]:
-    if len(y) == 1:
-        return x if y[0] else (_D0,)
-    n, ly, vx = len(x), len(y), _value(x)
-    if not vx:
-        return (_D0,) * n
-    # The clauses read x from its top digit down.  Its t high zeros give
-    # t zeros; its top one digit then gives y's length, or t + 1 if that
-    # is more; each lower digit shifts once.  A sum lengthens the result
-    # beyond that only where its value needs the digits.
-    t = n - vx.bit_length()
-    return _of_value(vx * _value(y), (ly if t == 0 else max(t + 1, ly)) + n - 1 - t)
 
 
 def to_nat(b: BinNum) -> int:
@@ -140,7 +120,8 @@ def bplus(a: BinNum, b: BinNum) -> BinNum:
     tried in this order; the sum is computed on ints and keeps the shape
     they give, padding included.
     """
-    return BinNum(_bplus(a.digits, b.digits))
+    x, y = a.digits, b.digits
+    return BinNum(_of_value(_value(x) + _value(y), max(len(x), len(y))))
 
 
 def btimes(a: BinNum, b: BinNum) -> BinNum:
@@ -157,7 +138,18 @@ def btimes(a: BinNum, b: BinNum) -> BinNum:
     additions; the product is computed with one int multiplication and
     keeps the shape they give, padding included.
     """
-    return BinNum(_btimes(a.digits, b.digits))
+    x, y = a.digits, b.digits
+    if len(y) == 1:
+        return a if y[0] else BinNum((_D0,))
+    n, ly, vx = len(x), len(y), _value(x)
+    if not vx:
+        return BinNum((_D0,) * n)
+    # The clauses read x from its top digit down.  Its t high zeros give
+    # t zeros; its top one digit then gives y's length, or t + 1 if that
+    # is more; each lower digit shifts once.  A sum lengthens the result
+    # beyond that only where its value needs the digits.
+    t = n - vx.bit_length()
+    return BinNum(_of_value(vx * _value(y), (ly if t == 0 else max(t + 1, ly)) + n - 1 - t))
 
 
 def normalize(b: BinNum) -> BinNum:
@@ -241,20 +233,11 @@ def from_construction(c: Construction) -> BinNum:
 # ---------------------------------------------------------------------------
 # The conditional rewrite engine for numeral addition.
 #
-# Mixed terms interleave pending additions and digit skeletons whose high
-# part is still being rewritten.  Rules fire on additions whose operands
-# are plain constructions, tried in their stated order; the first stuck
-# redex aborts the whole rewrite.
-
-class _Add(_Record):
-    __slots__ = ("lhs", "rhs")
-
-
-class _Digit(_Record):
-    __slots__ = ("high", "low")  # low: a zero or one term
-
-
-RewriteTerm = Union[_Add, _Digit, Construction]
+# A rule gets the operands of a redex ``a + b`` and returns None, the
+# sum, or ``(u, v, *after)``: the sum is ``u + v`` followed by each step
+# of ``after`` in turn, a step being the ``(1)`` numeral term (add one)
+# or a digit term (put a layer with that low digit on top).  Rules are
+# tried in their stated order; the first stuck redex aborts the rewrite.
 
 _ZERO2 = Plus(Plus(_ZERO, _ZERO), _ZERO)   # the (0) numeral term
 _ONE2 = Plus(Plus(_ZERO, _ZERO), _ONE)     # the (1) numeral term
@@ -300,7 +283,7 @@ def _one_rule(one_left: bool, d: BinDigit, carry: bool):
         high, e = _split_bnat(other)
         if e is not d or type(high) is Zero:
             return None
-        return _Digit(_Add(high, _ONE2), _ZERO) if carry else Plus(Plus(high, high), _ONE)
+        return (high, _ONE2, _ZERO) if carry else Plus(Plus(high, high), _ONE)
 
     return rule
 
@@ -310,10 +293,9 @@ def _binary_rule(da: BinDigit, db: BinDigit, carry: bool):
         (u, d), (v, e) = _split_bnat(a), _split_bnat(b)
         if d is not da or e is not db or type(u) is Zero or type(v) is Zero:
             return None
-        total = _Add(u, v)
         if carry:
-            return _Digit(_Add(total, _ONE2), _ZERO)
-        return _Digit(total, _ONE if da != db else _ZERO)
+            return u, v, _ONE2, _ZERO
+        return u, v, _ONE if da != db else _ZERO
 
     return rule
 
@@ -340,33 +322,37 @@ def _literal(c: Construction) -> str:
     return "#b" + bytes(_read(c)[0])[::-1].translate(_BYTE_CHAR).decode()
 
 
-def _reduce(t: RewriteTerm) -> Construction:
-    match t:
-        case _Add(l, r):
-            lhs = _reduce(l)
-            rhs = _reduce(r)
-            for rule in _RULES:
-                out = rule(lhs, rhs)
-                if out is not None:
-                    return _reduce(out)
-            raise StuckRewrite(_Add(lhs, rhs), f"(bplus {_literal(lhs)} {_literal(rhs)})")
-        case _Digit(h, low):
-            high = _reduce(h)
-            return Plus(Plus(high, high), low)
-        case _:
-            return t
+def _reduce(a: Construction, b: Construction) -> Construction:
+    """Rewrite the redex ``a + b`` to a numeral term, innermost first."""
+    steps: list[Construction] = []  # waiting steps, the next one last
+    while True:
+        for rule in _RULES:
+            out = rule(a, b)
+            if out is not None:
+                break
+        else:
+            raise StuckRewrite(Plus(a, b), f"(bplus {_literal(a)} {_literal(b)})")
+        if type(out) is tuple:
+            a, b, *after = out
+            steps += reversed(after)
+            continue
+        while steps and steps[-1] is not _ONE2:
+            out = Plus(Plus(out, out), steps.pop())
+        if not steps:
+            return out
+        a, b = out, steps.pop()
 
 
 def bplus_rewrite(a: Construction, b: Construction) -> Construction:
     """Add two numeral terms by conditional rewriting.
 
     Raises :class:`StuckRewrite` when the rule set covers no redex; the
-    stuck term is preserved on the exception as a completeness
-    counterexample.
+    exception's ``term`` is the stuck redex ``Plus(x, y)``, kept as a
+    completeness counterexample.
     """
     _read_or_raise(a, "left operand is not a numeral term")
     _read_or_raise(b, "right operand is not a numeral term")
-    result = _reduce(_Add(a, b))
+    result = _reduce(a, b)
     if not is_bnum(result):
         from .sexpr import to_sexpr  # deferred: sexpr imports this module
         raise StuckRewrite(result, to_sexpr(result))

@@ -28,7 +28,7 @@ class QuantifierEncountered(BiforgeError):
 class StuckRewrite(BiforgeError):
     """The rewrite engine reached a redex no rule applies to.
 
-    ``term`` holds the stuck mixed term; ``rendered`` a printable form.
+    ``term`` is the stuck redex ``Plus(a, b)``, ``rendered`` a printable form.
     """
 
     def __init__(self, term, rendered: str):

@@ -72,6 +72,8 @@ def parse_environment(text: str) -> Environment:
         value = value.strip()
         if not sep or not name or not value.isdigit():
             raise ParseError(f"bad environment entry {part!r}", offset)
+        if name in bindings:
+            raise ParseError(f"{name} is bound twice", offset)
         bindings[name] = int(value)
         offset += len(part) + 1
     return Environment(bindings)

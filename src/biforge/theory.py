@@ -637,18 +637,29 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
             close()
             kind, header, directives = head, lineno, _GRAPH[head][1]
             fields = {"name": rest} | {f: start for f, start, *_ in directives.values()}
+            given: set[str] = set()  # the open record's one-value directives so far
         try:
             if head in _GRAPH:
                 if not rest:
                     raise ValueError(f"{head} needs a name")
+                if rest in records[kind]:
+                    raise ValueError(f"{kind} {rest} is already defined")
             elif kind is None:
                 raise ValueError("directive outside a record")
             elif head not in directives:
                 raise ValueError(f"unknown {kind} directive {head!r}")
+            elif not rest:
+                raise ValueError(f"{head} needs a value")
+            elif head in given:
+                raise ValueError(f"a second {head} line in {kind} {fields['name']}")
             else:
                 field, start, read, _ = directives[head]
                 value = read(rest)
-                fields[field] = fields[field] + (value,) if isinstance(start, tuple) else value
+                if isinstance(start, tuple):
+                    fields[field] += (value,)
+                else:
+                    fields[field] = value
+                    given.add(head)
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err.message}", err.position) from None
         except ValueError as err:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from biforge import binum
 from biforge.binum import (
     BinDigit, BinNum, binnum, bplus, bplus_rewrite, btimes,
     from_construction, is_bnum, normalize, of_nat, shift, succ_b,
@@ -12,7 +13,7 @@ from biforge.binum import (
 )
 from biforge.errors import NotBnum, StuckRewrite
 from biforge.semantics import Environment, eval_nat
-from biforge.syntax import Plus, Succ, Times, TT, Var, Zero
+from biforge.syntax import Plus, Succ, Times, TT, Var, Zero, _Record
 
 D0, D1 = BinDigit.D0, BinDigit.D1
 
@@ -203,6 +204,138 @@ def test_rewrite_of_a_400_bit_sum_is_not_quadratic():
         best = min(best, time.perf_counter() - start)
     assert to_nat(from_construction(result)) == va + vb
     assert best < 0.03, f"{best * 1e3:.1f} ms"
+
+
+def test_rewrite_of_2048_bit_operands_answers_in_linear_time():
+    # Every step waits on a list, not on the call stack.
+    ones = to_construction(binnum([1] * 2048))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = bplus_rewrite(ones, ones)
+        best = min(best, time.perf_counter() - start)
+    assert from_construction(result) == binnum([0] + [1] * 2048)
+    assert best < 0.25, f"{best * 1e3:.1f} ms"
+
+
+# The engine as it was when rules returned terms of pending additions
+# and digit layers, reduced by recursion; kept to pin the loop to it.
+
+class _Add(_Record):
+    __slots__ = ("lhs", "rhs")
+
+
+class _Digit(_Record):
+    __slots__ = ("high", "low")
+
+
+_Z, _S = Zero(), Succ(Zero())
+_REF_ZERO, _REF_ONE, _REF_TWO = (to_construction(binnum(d)) for d in ([0], [1], [0, 1]))
+
+
+def _reference_one_rule(one_left, d, carry):
+    def rule(a, b):
+        one, other = (a, b) if one_left else (b, a)
+        high = other.lhs.lhs
+        if one != _REF_ONE or other.rhs != d or high == _Z:
+            return None
+        return _Digit(_Add(high, _REF_ONE), _Z) if carry else Plus(Plus(high, high), _S)
+    return rule
+
+
+def _reference_binary_rule(da, db, carry):
+    def rule(a, b):
+        u, v = a.lhs.lhs, b.lhs.lhs
+        if a.rhs != da or b.rhs != db or u == _Z or v == _Z:
+            return None
+        if carry:
+            return _Digit(_Add(_Add(u, v), _REF_ONE), _Z)
+        return _Digit(_Add(u, v), _S if da != db else _Z)
+    return rule
+
+
+_REFERENCE_RULES = (
+    lambda a, b: a if b == _REF_ZERO else None,
+    lambda a, b: b if a == _REF_ZERO else None,
+    lambda a, b: _REF_TWO if a == _REF_ONE and b == _REF_ONE else None,
+    _reference_one_rule(False, _Z, False),
+    _reference_one_rule(False, _S, True),
+    _reference_one_rule(True, _Z, False),
+    _reference_one_rule(True, _Z, True),
+    _reference_binary_rule(_Z, _Z, False),
+    _reference_binary_rule(_Z, _S, False),
+    _reference_binary_rule(_S, _Z, False),
+    _reference_binary_rule(_S, _S, True),
+)
+
+
+def _reference_literal(c):
+    return "#b" + "".join(str(int(d)) for d in reversed(from_construction(c).digits))
+
+
+def _reference_reduce(t):
+    match t:
+        case _Add(l, r):
+            lhs, rhs = _reference_reduce(l), _reference_reduce(r)
+            for rule in _REFERENCE_RULES:
+                out = rule(lhs, rhs)
+                if out is not None:
+                    return _reference_reduce(out)
+            rendered = f"(bplus {_reference_literal(lhs)} {_reference_literal(rhs)})"
+            raise StuckRewrite(_Add(lhs, rhs), rendered)
+        case _Digit(h, low):
+            high = _reference_reduce(h)
+            return Plus(Plus(high, high), low)
+    return t
+
+
+def reference_bplus_rewrite(a, b):
+    from_construction(a), from_construction(b)
+    result = _reference_reduce(_Add(a, b))
+    assert is_bnum(result)
+    return result
+
+
+SIX_DIGIT_TERMS = [to_construction(n) for n in all_numerals(6)]
+
+
+def test_rewrite_matches_the_recursive_reference_on_all_six_digit_pairs():
+    # 126 numerals of 1-6 digits, high zeros included: 15,876 pairs.
+    for a in SIX_DIGIT_TERMS:
+        for b in SIX_DIGIT_TERMS:
+            try:
+                expected = reference_bplus_rewrite(a, b)
+            except StuckRewrite as err:
+                with pytest.raises(StuckRewrite) as stuck:
+                    bplus_rewrite(a, b)
+                assert stuck.value.rendered == err.rendered
+                assert stuck.value.term == Plus(err.term.lhs, err.term.rhs)
+            else:
+                assert bplus_rewrite(a, b) == expected, (a, b)
+
+
+def test_rule_census_on_all_six_digit_pairs(monkeypatch):
+    # How often each rule fires, in stated order; the shadowed seventh
+    # rule never does.
+    fired = [0] * len(binum._RULES)
+
+    def counting(i, rule):
+        def wrapped(a, b):
+            out = rule(a, b)
+            fired[i] += out is not None
+            return out
+        return wrapped
+
+    monkeypatch.setattr(binum, "_RULES", tuple(counting(i, r) for i, r in enumerate(binum._RULES)))
+    stuck = 0
+    for a in SIX_DIGIT_TERMS:
+        for b in SIX_DIGIT_TERMS:
+            try:
+                bplus_rewrite(a, b)
+            except StuckRewrite:
+                stuck += 1
+    assert fired == [5334, 5865, 3912, 11127, 10998, 1302, 0, 13908, 13908, 13908, 13908]
+    assert stuck == 1302
 
 
 def test_meaning_formulas_small():

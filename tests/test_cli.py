@@ -105,6 +105,26 @@ def test_stuck_rewrite_message_prints_the_redex_as_literals(capsys, a, b, redex)
     assert len(captured.err) < 1024
 
 
+ONES_2048 = "#b" + "1" * 2048
+
+
+@pytest.mark.parametrize("a, b, out", [
+    (ONES_2048, ONES_2048, "#b" + "1" * 2048 + "0\n"),
+    (ONES_2048, "#b1", "#b1" + "0" * 2048 + "\n"),
+], ids=["ones-ones", "ones-one"])
+def test_bplus_rewrite_answers_at_2048_bits(capsys, a, b, out):
+    assert run(["bplus", "--rewrite", a, b]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_bplus_rewrite_at_2048_bits_sticks_in_one_line(capsys):
+    assert run(["bplus", "--rewrite", "#b1", ONES_2048]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no rewrite rule applies to (bplus #b1 {ONES_2048})\n"
+    assert len(captured.err.encode()) == 2097
+
+
 def test_btimes(capsys):
     code = run(["btimes", "6", "7"])
     assert capsys.readouterr().out == "#b101010\n"
@@ -322,6 +342,21 @@ def test_module_entry_point():
     ("morphism M\n  map 0\n", "line 2: map needs two symbols, got '0'"),
     ("theory\n  level 2\n", "line 1: theory needs a name"),
     ("theory T\n  level 2\nmorphism # no name\n", "line 3: morphism needs a name"),
+    # A name once per kind, a one-value directive once per record, and a
+    # value for every directive; the first fault in line order wins.
+    ("theory T\n  level 2\n  axiom a (= z z)\ntheory T\n  level 1\n",
+     "line 4: theory T is already defined"),
+    ("morphism M\n  source BT1\n\nmorphism M\n", "line 4: morphism M is already defined"),
+    ("theory T\n  level 2\n  level 1\n", "line 3: a second level line in theory T"),
+    ("theory T\n  level higher-order\n  level higher-order\n",
+     "line 3: a second level line in theory T"),
+    ("morphism M\n  source BT1\n  source BT2\n", "line 3: a second source line in morphism M"),
+    ("morphism M\n  target BT1\n  map + +\n  target BT1\n",
+     "line 4: a second target line in morphism M"),
+    ("theory T\n  level 2\n  extends\n", "line 3: extends needs a value"),
+    ("morphism M\n  source   # no name\n", "line 2: source needs a value"),
+    ("theory T\n  level 2\n  level\ntheory T\n", "line 3: level needs a value"),
+    ("theory T\n  axiom open (= x z)\ntheory T\n", "line 1: axiom open of T is not closed"),
 ])
 def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     path = tmp_path / "graph.txt"
@@ -370,6 +405,12 @@ def test_decide_folds_large_environment_values(capsys, value, out):
     # Values go into the linear atoms' constants; no numeral is built.
     assert run(["decide", "--env", f"x={value}", "(exists y (= x (+ y y)))"]) == 0
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("command", ["eval", "decide"])
+def test_env_binding_a_name_twice_is_a_parse_error(capsys, command):
+    assert run([command, "--env", "x=1,x=3", "(= x x)"]) == 2
+    assert capsys.readouterr() == ("", "error: x is bound twice (at position 4)\n")
 
 
 def test_decide_reads_a_5000_deep_successor_chain(capsys):

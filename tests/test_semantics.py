@@ -60,6 +60,9 @@ def test_environment_literals():
     assert parse_environment("")["anything"] == 0
     with pytest.raises(ParseError):
         parse_environment("x=")
+    with pytest.raises(ParseError, match="x is bound twice") as twice:
+        parse_environment("x=1, y=2, x=3")
+    assert twice.value.position == 9
     with pytest.raises(ValueError):
         Environment({"x": -1})
 
