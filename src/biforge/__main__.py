@@ -1,0 +1,6 @@
+"""``python -m biforge``: the command line of :mod:`biforge.cli`."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import LanguageError, SortError
 from .recognizers import LangLevel, _level_of
@@ -67,11 +67,6 @@ class LinearTerm(_Record):
 
     def drop(self, v: str) -> "LinearTerm":
         return LinearTerm(tuple(p for p in self.coeffs if p[0] != v), self.const)
-
-    def plus_var(self, v: str, coeff: int) -> "LinearTerm":
-        d = dict(self.coeffs)
-        d[v] = d.get(v, 0) + coeff
-        return LinearTerm.make(d, self.const)
 
     def __add__(self, other: "LinearTerm") -> "LinearTerm":
         d = dict(self.coeffs)
@@ -338,44 +333,47 @@ class Elimination(_Record):
     __slots__ = ("var", "tests", "delta")
 
 
-def _atoms(f: QFormula) -> Iterator[LinearAtom]:
+def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFormula]):
+    """``f`` as a program of nested ``(is_and, lhs, rhs)`` tuples.  Each
+    distinct atom on ``v`` goes into ``table`` once, and its leaf is its
+    index there; an equality on ``v`` is lowered to the two orderings
+    ``t - 1 < 0`` and ``-t - 1 < 0`` first.  Any other leaf is left as
+    it is and also added to ``loose``."""
     match f:
-        case QAtom(a):
-            yield a
         case QAnd(l, r) | QOr(l, r):
-            yield from _atoms(l)
-            yield from _atoms(r)
-        case QTrue() | QFalse():
-            return
-        case _:
-            raise AssertionError("quantifier inside a matrix")
-
-
-def _map_atoms(fn, f: QFormula) -> QFormula:
-    """``f`` with each atom replaced by ``fn`` of it, folded.  A
-    conjunction stops at a false conjunct and a disjunction at a true
-    one, so ``fn`` must have no side effects."""
-    match f:
-        case QAtom(a):
-            return fn(a)
-        case QAnd(l, r):
-            l = _map_atoms(fn, l)
-            return l if isinstance(l, QFalse) else q_and(l, _map_atoms(fn, r))
-        case QOr(l, r):
-            l = _map_atoms(fn, l)
-            return l if isinstance(l, QTrue) else q_or(l, _map_atoms(fn, r))
-        case QTrue() | QFalse():
+            return type(f) is QAnd, _compile(l, v, table, loose), _compile(r, v, table, loose)
+        case QAtom(EqZero(t)) if t.coeff(v):
+            lo, hi = _mk_lt(t.shift(-1)).atom, _mk_lt((-t).shift(-1)).atom
+            return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
+        case QAtom(a) if a.term.coeff(v):
+            return table.setdefault(a, len(table))
+        case QAtom() | QTrue() | QFalse():
+            loose.append(f)
             return f
-        case _:
-            raise AssertionError("quantifier inside a matrix")
+    raise AssertionError("quantifier inside a matrix")
 
 
-def _lower_equality(atom: LinearAtom, v: str) -> QFormula:
-    # t = 0 becomes t - 1 < 0 and -t - 1 < 0, but only where v occurs.
-    if isinstance(atom, EqZero) and atom.term.coeff(v):
-        t = atom.term
-        return q_and(_mk_lt(t.shift(-1)), _mk_lt((-t).shift(-1)))
-    return QAtom(atom)
+def _place(program, placed: list[QFormula]) -> QFormula:
+    """The formula of ``program`` with each index replaced by its entry
+    in ``placed``, folded.  A conjunction stops at a false conjunct and
+    a disjunction at a true one."""
+    if type(program) is not tuple:
+        return placed[program] if type(program) is int else program
+    is_and, l, r = program
+    l = _place(l, placed)
+    if is_and:
+        return l if isinstance(l, QFalse) else q_and(l, _place(r, placed))
+    return l if isinstance(l, QTrue) else q_or(l, _place(r, placed))
+
+
+def _holds(program, values: list[bool]) -> bool:
+    """Truth of a program whose every leaf is an index into ``values``."""
+    if type(program) is int:
+        return values[program]
+    is_and, l, r = program
+    if is_and:
+        return _holds(l, values) and _holds(r, values)
+    return _holds(l, values) or _holds(r, values)
 
 
 def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
@@ -385,30 +383,12 @@ def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
         return QAtom(atom)
     k = m // abs(c)
     sign = 1 if c > 0 else -1
+    t = atom.term.scale(k).drop(v) + LinearTerm.variable(v, sign)
     if isinstance(atom, LtZero):
-        t = atom.term.scale(k).drop(v).plus_var(v, sign)
         return QAtom(LtZero(t))
     if isinstance(atom, Divides):
-        t = atom.term.scale(k).drop(v).plus_var(v, sign)
-        if sign < 0:
-            t = -t
-        return QAtom(Divides(atom.d * k, t))
+        return QAtom(Divides(atom.d * k, t if sign > 0 else -t))
     raise AssertionError("equalities must be lowered before coefficient unification")
-
-
-def _place_test(
-    atom: LinearAtom, moved: dict[LinearAtom, tuple[int, LinearTerm]], j: int
-) -> QFormula:
-    """``atom`` with the eliminated variable replaced by a test point
-    plus ``j``.  ``moved`` maps each atom that mentions the variable to
-    its coefficient ``c`` and its term with the test point already put
-    in, so only the constant moves, by ``c * j``."""
-    hit = moved.get(atom)
-    if hit is None:
-        return QAtom(atom)
-    c, t = hit
-    t = LinearTerm(t.coeffs, t.const + c * j)
-    return _mk_div(atom.d, t) if isinstance(atom, Divides) else _mk_lt(t)
 
 
 def cooper_eliminate(
@@ -425,50 +405,61 @@ def cooper_eliminate(
     set, which keeps nested eliminations from multiplying out.
 
     The residue is the disjunction, over test points ``b`` and period
-    steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  Each
-    atom on ``v`` is split once and each test point put in once per
-    atom; a period step only shifts the constant.  The residue is
-    ``QTrue`` as soon as one branch folds to it (when ``v`` is the last
-    free variable every branch is a truth value), and the
-    ``Elimination`` record lists every test point either way.
+    steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  One
+    walk compiles the matrix into a program over a table of its
+    distinct atoms on ``v``, each with its coefficient unified and
+    split into divisor, coefficient ``c`` and rest once; a branch puts
+    in one atom per table entry, and a period step only moves the
+    constant by ``c * j``.  When every rest is constant and every leaf
+    is in the table, every branch is a truth value, so each is decided
+    on ints alone.  The residue is ``QTrue`` as soon as one branch
+    folds to it, and the ``Elimination`` record lists every test point
+    either way.
     """
     if isinstance(matrix, QOr):
-        seen: set = set()
         flat: list[QFormula] = []
-        _gather(QOr, matrix, seen, flat)
+        _gather(QOr, matrix, set(), flat)
         return q_or_all([cooper_eliminate(v, part, _record) for part in flat])
-    matrix = _map_atoms(lambda a: _lower_equality(a, v), matrix)
     # Relativize to the naturals: v >= 0, i.e. -v - 1 < 0.  This always
     # contributes a lower bound, so the minus-infinity branch is empty.
     matrix = q_and(matrix, QAtom(LtZero(LinearTerm.variable(v, -1).shift(-1))))
-    if isinstance(matrix, (QTrue, QFalse)):
+    if isinstance(matrix, QFalse):
         if _record is not None:
             _record.append(Elimination(v, (), 1))
         return matrix
 
-    coefficients = {abs(a.term.coeff(v)) for a in _atoms(matrix) if a.term.coeff(v)}
-    m = lcm(*coefficients) if coefficients else 1
-    matrix = _map_atoms(lambda a: _unify_coefficient(a, v, m), matrix)
+    table: dict[LinearAtom, int] = {}
+    loose: list[QFormula] = []
+    program = _compile(matrix, v, table, loose)
+    m = lcm(*(abs(a.term.coeff(v)) for a in table))
+    atoms = [_unify_coefficient(a, v, m).atom for a in table]
     if m > 1:
-        matrix = q_and(matrix, QAtom(Divides(m, LinearTerm.variable(v))))
-
-    # Split each distinct atom on v once into its coefficient and rest.
-    rests: dict[LinearAtom, tuple[int, LinearTerm]] = {}
-    for atom in _atoms(matrix):
-        c = atom.term.coeff(v)
-        if c != 0 and atom not in rests:
-            rests[atom] = (c, atom.term.drop(v))
-    lowers = {rest for atom, (c, rest) in rests.items() if isinstance(atom, LtZero) and c == -1}
-    delta = lcm(1, *(atom.d for atom in rests if isinstance(atom, Divides)))
+        program = (True, program, len(atoms))
+        atoms.append(Divides(m, LinearTerm.variable(v)))
+    # Each entry: divisor (0 for an ordering), coefficient on v, rest.
+    entries = [(a.d if type(a) is Divides else 0, a.term.coeff(v), a.term.drop(v))
+               for a in atoms]
+    lowers = {rest for d, c, rest in entries if not d and c == -1}
+    delta = lcm(*(d for d, _, _ in entries if d))
     tests = sorted(lowers, key=lambda t: (t.coeffs, t.const))
     if _record is not None:
         _record.append(Elimination(v, tuple(tests), delta))
 
+    if not loose and all(rest.is_constant for _, _, rest in entries):
+        for b in tests:
+            ks = [(d, c, rest.const + c * b.const) for d, c, rest in entries]
+            for j in range(1, delta + 1):
+                if _holds(program, [(k + c * j) % d == 0 if d else k + c * j < 0
+                                    for d, c, k in ks]):
+                    return _TRUE
+        return _FALSE
     branches = []
     for b in tests:
-        moved = {atom: (c, rest + b.scale(c)) for atom, (c, rest) in rests.items()}
+        moved = [(d, c, rest + b.scale(c)) for d, c, rest in entries]
         for j in range(1, delta + 1):
-            branch = _map_atoms(lambda a: _place_test(a, moved, j), matrix)
+            branch = _place(program, [
+                _mk_div(d, LinearTerm(t.coeffs, t.const + c * j)) if d
+                else _mk_lt(LinearTerm(t.coeffs, t.const + c * j)) for d, c, t in moved])
             if isinstance(branch, QTrue):
                 return _TRUE
             branches.append(branch)

@@ -329,18 +329,19 @@ def _model_check(
 ) -> Optional[Environment]:
     """Witness environment falsifying the stripped formula, or None.
 
-    Each sample draws ``rng.randint(0, bound)`` for each stripped
-    variable in order, so the draws, the ``rng`` state afterwards and the
-    first failing sample are those of evaluating every sample.  The
+    Each sample draws ``rng._randbelow(bound + 1)``, which is
+    ``rng.randint(0, bound)`` without its argument checks, for each
+    stripped variable in order, so the draws, the ``rng`` state afterwards
+    and the first failing sample are those of evaluating every sample.  The
     matrix is compiled once, the oracle runs once per distinct tuple of
     values (a tuple seen to pass is not evaluated again), and an
     :class:`Environment` is built only for the witness.
     """
     names, matrix = _strip_foralls(formula)
     holds = compile_oracle(matrix, bound)
-    passed = set()
+    passed, width = set(), bound + 1
     for _ in range(samples if names else 1):
-        values = tuple([rng.randint(0, bound) for _ in names])
+        values = tuple([rng._randbelow(width) for _ in names])
         if values not in passed:
             if not holds(dict(zip(names, values))):
                 return Environment(dict(zip(names, values)))

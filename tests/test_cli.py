@@ -322,6 +322,20 @@ def test_module_entry_point():
     assert (done.stdout, done.returncode) == ("#b10\n", 0)
 
 
+def test_package_runs_as_a_module():
+    import biforge
+
+    src = str(Path(biforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "biforge", "decide", "--theory", "bt6",
+         "(forall x (or (= x z) (exists y (= (s y) x))))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.stdout, done.stderr, done.returncode) == ("tt\n", "", 0)
+
+
 @pytest.mark.parametrize("text, line", [
     ("theory T\n  level 2\n  schema induction-l9\n", "line 3: unknown schema kind"),
     ("# header\n\ntheory T\n  level 2\n  axiom open (= x z)\n", "line 3: axiom open of T"),

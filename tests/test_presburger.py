@@ -1,5 +1,6 @@
 import random
 from math import lcm
+from typing import Iterator
 
 import pytest
 
@@ -7,12 +8,12 @@ from biforge import presburger
 from biforge.binum import of_nat, to_construction
 from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
-    Divides, Elimination, EqZero, LinearTerm, LtZero, QAnd, QAtom, QExists,
-    QFalse, QForall, QOr, QTrue, TruthValue, _atoms, _decide, _gather,
-    _lower_equality, _map_atoms, _mk_div, _mk_lt, _unify_coefficient,
-    bounded_oracle, cooper_eliminate, decide_bt5, decide_bt6,
-    decide_bt6_with_bound, eliminate_quantifiers, evaluate, linearize, negate,
-    q_and, q_or, q_or_all, sufficiency_bound,
+    Divides, Elimination, EqZero, LinearAtom, LinearTerm, LtZero, QAnd, QAtom,
+    QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _decide,
+    _gather, _mk_div, _mk_lt, _unify_coefficient, bounded_oracle,
+    cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
+    eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or, q_or_all,
+    sufficiency_bound,
 )
 from biforge.recognizers import LangLevel
 from biforge.semantics import Environment
@@ -197,7 +198,48 @@ def test_decide_error_messages(decide, name, language):
 # ---------------------------------------------------------------------------
 # Reference elimination: the per-branch substitution that
 # ``cooper_eliminate`` replaced, rebuilding every atom once per test point
-# and period step.  The kernel must give equal residues and records.
+# and period step, over the matrix walks the kernel used before it
+# compiled the matrix.  The kernel must give equal residues and records.
+
+def _atoms(f: QFormula) -> Iterator[LinearAtom]:
+    match f:
+        case QAtom(a):
+            yield a
+        case QAnd(l, r) | QOr(l, r):
+            yield from _atoms(l)
+            yield from _atoms(r)
+        case QTrue() | QFalse():
+            return
+        case _:
+            raise AssertionError("quantifier inside a matrix")
+
+
+def _map_atoms(fn, f: QFormula) -> QFormula:
+    """``f`` with each atom replaced by ``fn`` of it, folded.  A
+    conjunction stops at a false conjunct and a disjunction at a true
+    one, so ``fn`` must have no side effects."""
+    match f:
+        case QAtom(a):
+            return fn(a)
+        case QAnd(l, r):
+            l = _map_atoms(fn, l)
+            return l if isinstance(l, QFalse) else q_and(l, _map_atoms(fn, r))
+        case QOr(l, r):
+            l = _map_atoms(fn, l)
+            return l if isinstance(l, QTrue) else q_or(l, _map_atoms(fn, r))
+        case QTrue() | QFalse():
+            return f
+        case _:
+            raise AssertionError("quantifier inside a matrix")
+
+
+def _lower_equality(atom: LinearAtom, v: str) -> QFormula:
+    # t = 0 becomes t - 1 < 0 and -t - 1 < 0, but only where v occurs.
+    if isinstance(atom, EqZero) and atom.term.coeff(v):
+        t = atom.term
+        return q_and(_mk_lt(t.shift(-1)), _mk_lt((-t).shift(-1)))
+    return QAtom(atom)
+
 
 def _substitute_test(atom, v, b, j):
     c = atom.term.coeff(v)
@@ -296,6 +338,120 @@ def test_short_circuit_keeps_every_test_point(monkeypatch):
     got, want = _both(QExists("y", matrix), monkeypatch)
     assert got == want == (
         QTrue(), [Elimination("y", (LinearTerm.constant(-1), LinearTerm.variable("x")), 1)])
+
+
+def _outer_stripped(s, k):
+    """``s`` without its ``k`` outermost quantifiers."""
+    for _ in range(k):
+        s = s.body
+    return s
+
+
+@pytest.mark.parametrize("seed, q, depth, count", [
+    ("decide/q3", 3, 2, 100),
+    ("decide/tail", 4, 3, 12),
+])
+def test_elimination_matches_reference_with_free_variables(seed, q, depth, count, monkeypatch):
+    # Two to q outer quantifiers stripped, so residues keep up to three
+    # free variables (the test above strips none or one).
+    for s in prenex_corpus(seed, q, depth, count):
+        for k in range(2, q + 1):
+            got, want = _both(linearize(_outer_stripped(s, k)), monkeypatch)
+            assert got == want
+
+
+def _copies(rng, names):
+    """Zero, or a variable added to itself up to three times."""
+    if rng.random() < 0.2:
+        return Zero()
+    v = Var(rng.choice(names))
+    t = v
+    for _ in range(rng.randint(0, 2)):
+        t = Plus(v, t)
+    return t
+
+
+def scaled_matrix(rng, names, depth):
+    """Quantifier-free level-2 formula whose variables occur with
+    coefficients up to six, so eliminations unify coefficients (m > 1)
+    and step through periods above 1."""
+    r = rng.random()
+    if depth <= 0 or r < 0.4:
+        sides = []
+        for _ in range(2):
+            t = _copies(rng, names)
+            if rng.random() < 0.3:
+                t = Plus(t, _copies(rng, names))
+            for _ in range(rng.randint(0, 3)):
+                t = Succ(t)
+            sides.append(t)
+        return Eq(*sides)
+    if r < 0.55:
+        return Not(scaled_matrix(rng, names, depth - 1))
+    return rng.choice([And, Or, Implies])(scaled_matrix(rng, names, depth - 1),
+                                          scaled_matrix(rng, names, depth - 1))
+
+
+@pytest.mark.parametrize("q, count", [(2, 60), (3, 30)])
+def test_elimination_matches_reference_on_scaled_coefficients(q, count, monkeypatch):
+    rng = random.Random(f"scaled/{q}")
+    names = ["x", "y", "w"][:q]
+    deltas = []
+    for _ in range(count):
+        body = scaled_matrix(rng, names, 2)
+        for v in reversed(names):
+            body = (Forall if rng.random() < 0.5 else Exists)(v, body)
+        for k in range(q + 1):
+            got, want = _both(linearize(_outer_stripped(body, k)), monkeypatch)
+            assert got == want
+            deltas += [r.delta for r in got[1]]
+    assert max(deltas) > 1
+
+
+def test_negated_divisibility_reaches_the_next_elimination(monkeypatch):
+    # exists x. forall y. M: the forall's residue holds divisibility atoms
+    # on x, which negation expands before x is eliminated.
+    rng = random.Random("scaled/forall")
+    divisible = 0
+    for _ in range(40):
+        matrix = scaled_matrix(rng, ["x", "y"], 2)
+        inner = eliminate_quantifiers(linearize(Forall("y", matrix)))
+        divisible += any(isinstance(a, Divides) for a in _atoms(inner))
+        got, want = _both(linearize(Exists("x", Forall("y", matrix))), monkeypatch)
+        assert got == want
+    assert divisible > 0
+
+
+def _lt(coeffs, const):
+    return QAtom(LtZero(LinearTerm.make(coeffs, const)))
+
+
+@pytest.mark.parametrize("matrix, ground", [
+    (QTrue(), True),
+    (QFalse(), False),
+    # No atom on y.
+    (_lt({"x": 1}, -2), False),
+    # y < 3 and (y = 1 or x < 2): every atom on y is ground, but x is free.
+    (QAnd(_lt({"y": 1}, -3), QOr(QAtom(EqZero(LinearTerm.make({"y": 1}, -1))),
+                                 _lt({"x": 1}, -2))), False),
+    # 3y < 7 and 2 | y + 1: m = 3 and delta = 6, all on ints.
+    (QAnd(_lt({"y": 3}, -7), QAtom(Divides(2, LinearTerm.make({"y": 1}, 1)))), True),
+])
+def test_direct_elimination_matches_reference(matrix, ground, monkeypatch):
+    decided = []
+    holds = presburger._holds
+
+    def counted(program, values):
+        decided.append(program)
+        return holds(program, values)
+
+    monkeypatch.setattr(presburger, "_holds", counted)
+    records, reference_records = [], []
+    got = cooper_eliminate("y", matrix, records)
+    want = reference_cooper_eliminate("y", matrix, reference_records)
+    assert (got, records) == (want, reference_records)
+    # Only an elimination whose every branch is a truth value is decided on ints.
+    assert bool(decided) == ground
 
 
 # ---------------------------------------------------------------------------
