@@ -17,11 +17,11 @@ from math import gcd, lcm
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import LanguageError, SortError
-from .recognizers import LangLevel, _level_of
+from .recognizers import LangLevel
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Sort, TT, Var, _Record, _fold, free_vars, sort_of,
+    Sort, TT, Var, _classify, _Record, _fold, free_vars, sort_of,
 )
 
 
@@ -194,10 +194,10 @@ def q_or_all(parts: list[QFormula]) -> QFormula:
         return _TRUE
     if not kept:
         return _FALSE
-    out = kept[0]
-    for p in kept[1:]:
-        out = QOr(out, p)
-    return out
+    while len(kept) > 1:  # balanced, so depth grows with the log of the width
+        kept = [QOr(*kept[i:i + 2]) if i + 1 < len(kept) else kept[i]
+                for i in range(0, len(kept), 2)]
+    return kept[0]
 
 
 def _reduce(t: LinearTerm, d: int = 0) -> tuple[int, LinearTerm]:
@@ -272,10 +272,10 @@ def linearize(c: Construction) -> QFormula:
     strict orderings.
     """
     try:
-        sort = sort_of(c)
+        sort, level = _classify(c)
     except SortError:
-        sort = None
-    if sort is None or _level_of(c) > LangLevel.L2:
+        sort, level = None, None
+    if level is None or level > LangLevel.L2:
         raise LanguageError("linearize needs a first-order formula over 0, successor and +")
     if sort is not Sort.BOOL:
         raise SortError("linearize needs a formula, not a term")
@@ -296,25 +296,16 @@ def _linearize(c: Construction, neg: bool, values: dict[str, int]) -> QFormula:
                 # values go into the constant before _mk_* reduce it by the gcd
                 t = LinearTerm(tuple(p for p in t.coeffs if p[0] not in values),
                                t.const + sum(k * values.get(v, 0) for v, k in t.coeffs))
-            if neg:
-                return q_or(_mk_lt(t), _mk_lt(-t))
-            return _mk_eq(t)
+            return negate(_mk_eq(t)) if neg else _mk_eq(t)
         case Not():
             while type(c) is Not:
                 c, neg = c.arg, not neg
             return _linearize(c, neg, values)
-        case And(l, r):
-            if neg:
-                return q_or(_linearize(l, True, values), _linearize(r, True, values))
-            return q_and(_linearize(l, False, values), _linearize(r, False, values))
-        case Or(l, r):
-            if neg:
-                return q_and(_linearize(l, True, values), _linearize(r, True, values))
-            return q_or(_linearize(l, False, values), _linearize(r, False, values))
-        case Implies(l, r):
-            if neg:
-                return q_and(_linearize(l, False, values), _linearize(r, True, values))
-            return q_or(_linearize(l, True, values), _linearize(r, False, values))
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            # negation swaps ∧ and ∨, and l ⇒ r is ¬l ∨ r
+            join = q_and if (type(c) is And) != neg else q_or
+            return join(_linearize(l, neg != (type(c) is Implies), values),
+                        _linearize(r, neg, values))
         case Forall(v, b) | Exists(v, b):
             if v in values:  # the binder hides the free variable
                 values = {w: n for w, n in values.items() if w != v}
@@ -525,9 +516,10 @@ def _decide(
     variables valued through ``e``.  The values are folded into the atoms'
     constants, giving the atoms of ``c`` grounded by unary numerals."""
     name, language = _PROCEDURES[level]
-    if sort_of(c) is not Sort.BOOL:
+    sort, used = _classify(c)
+    if sort is not Sort.BOOL:
         raise SortError(f"{name} needs a formula")
-    if _level_of(c) > level:
+    if used > level:
         raise LanguageError(f"{name} needs a first-order formula over {language}")
     e = e if e is not None else Environment()
     q = eliminate_quantifiers(_linearize(c, False, {v: e[v] for v in free_vars(c)}), record)

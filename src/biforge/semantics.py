@@ -70,7 +70,7 @@ def parse_environment(text: str) -> Environment:
         name, sep, value = part.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not name or not value.isdigit():
+        if not sep or not name or not value.isdecimal():
             raise ParseError(f"bad environment entry {part!r}", offset)
         if name in bindings:
             raise ParseError(f"{name} is bound twice", offset)

@@ -14,6 +14,7 @@ Printing is the exact inverse on canonical output: parse(print(c)) == c.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .binum import BinNum, _of_value, of_nat, to_construction, to_nat
@@ -23,32 +24,22 @@ from .syntax import (
 )
 
 # A form's head is the label its node has in the sort signatures.
-_FORMS = {label: ctor for ctor, (_, _, label) in _SIGNATURES.items()}
+_FORMS = {label: ctor for ctor, (_, _, label, _) in _SIGNATURES.items()}
 _CONSTANTS = {"z": Zero, "tt": TT, "ff": FF}
 _HEAD = {ctor: head for head, ctor in (_FORMS | _CONSTANTS).items()}
 _RESERVED = frozenset(_HEAD.values())
 
-_ATOM_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-'+*=#")
+# A parenthesis, an atom, or (group 1) an unexpected character; white
+# space between tokens is skipped.
+_TOKEN = re.compile(r"[()]|[A-Za-z0-9_\-'+*=#]+|(\S)")
 
 
 def _tokenize(text: str):
     tokens: list[tuple[str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        elif ch in _ATOM_CHARS:
-            start = i
-            while i < n and text[i] in _ATOM_CHARS:
-                i += 1
-            tokens.append((text[start:i], start))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        if m[1] is not None:
+            raise ParseError(f"unexpected character {m[1]!r}", m.start())
+        tokens.append((m[0], m.start()))
     return tokens
 
 
@@ -157,7 +148,7 @@ def parse_binnum(text: str, pos: int = 0) -> BinNum:
     text = text.strip()
     if text.startswith("#b"):
         return _read_binary_literal(text, pos)
-    if text.isdigit():
+    if text.isdecimal():
         return of_nat(int(text))
     raise ParseError(f"bad numeral {text!r}", pos)
 

@@ -277,20 +277,22 @@ def _expect(got: Sort, want: Sort, context: str) -> None:
         raise SortError(f"{context} needs a {want.value} argument, got {got.value}")
 
 
-# Argument sort, result sort and label of each compound node; the label
-# is also the head of its form in the wire format (see sexpr).
+# Argument sort, result sort, label and language level of each compound
+# node.  The label is also the head of its form in the wire format (see
+# sexpr); the level is the lowest first-order language that has the node
+# (see recognizers), and an abstraction, in none of them, is above all.
 _SIGNATURES = {
-    Succ: (Sort.NAT, Sort.NAT, "s"),
-    Plus: (Sort.NAT, Sort.NAT, "+"),
-    Times: (Sort.NAT, Sort.NAT, "*"),
-    Eq: (Sort.NAT, Sort.BOOL, "="),
-    And: (Sort.BOOL, Sort.BOOL, "and"),
-    Or: (Sort.BOOL, Sort.BOOL, "or"),
-    Not: (Sort.BOOL, Sort.BOOL, "not"),
-    Implies: (Sort.BOOL, Sort.BOOL, "imp"),
-    Forall: (Sort.BOOL, Sort.BOOL, "forall"),
-    Exists: (Sort.BOOL, Sort.BOOL, "exists"),
-    Abs: (Sort.BOOL, Sort.ABS_PRED, "lambda"),
+    Succ: (Sort.NAT, Sort.NAT, "s", 1),
+    Plus: (Sort.NAT, Sort.NAT, "+", 2),
+    Times: (Sort.NAT, Sort.NAT, "*", 3),
+    Eq: (Sort.NAT, Sort.BOOL, "=", 1),
+    And: (Sort.BOOL, Sort.BOOL, "and", 1),
+    Or: (Sort.BOOL, Sort.BOOL, "or", 1),
+    Not: (Sort.BOOL, Sort.BOOL, "not", 1),
+    Implies: (Sort.BOOL, Sort.BOOL, "imp", 1),
+    Forall: (Sort.BOOL, Sort.BOOL, "forall", 1),
+    Exists: (Sort.BOOL, Sort.BOOL, "exists", 1),
+    Abs: (Sort.BOOL, Sort.ABS_PRED, "lambda", 4),
 }
 _LEAF_SORTS = {Zero: Sort.NAT, Var: Sort.NAT, TT: Sort.BOOL, FF: Sort.BOOL}
 
@@ -303,15 +305,22 @@ def sort_of(c: Construction) -> Sort:
     children are one object checks that child once, and a chain of
     successors and negations is checked in a loop.
     """
+    return _classify(c)[0]
+
+
+def _classify(c: Construction) -> tuple[Sort, int]:
+    """The sort of ``c``, as :func:`sort_of` gives it, and the highest
+    language level of its nodes."""
     t = type(c)
     if t in _LEAF_SORTS:
-        return _LEAF_SORTS[t]
+        return _LEAF_SORTS[t], 1
     if t not in _SIGNATURES:
         raise SortError(f"not a construction: {c!r}")
     if t in _UNARIES:
         # Each node of a chain of successors and negations has its
-        # argument's sort, so a fault can lie only at the chain's bottom
-        # or at its lowest change of node type; the bottom is checked first.
+        # argument's sort and level 1, so a fault can lie only at the
+        # chain's bottom or at its lowest change of node type; the
+        # bottom is checked first.
         above = t
         while True:
             while type(c) is t:
@@ -319,19 +328,19 @@ def sort_of(c: Construction) -> Sort:
             if type(c) not in _UNARIES:
                 break
             above, t = t, type(c)
-        got = sort_of(c)
-        _expect(got, _SIGNATURES[t][0], _SIGNATURES[t][2])
+        got = _classify(c)
+        _expect(got[0], _SIGNATURES[t][0], _SIGNATURES[t][2])
         if above is not t:
-            _expect(got, _SIGNATURES[above][0], _SIGNATURES[above][2])
+            _expect(got[0], _SIGNATURES[above][0], _SIGNATURES[above][2])
         return got
-    want, result, label = _SIGNATURES[t]
-    if t in _BINDERS:
-        _expect(sort_of(c.body), want, label)
-    else:
-        _expect(sort_of(c.lhs), want, label)
-        if c.rhs is not c.lhs:
-            _expect(sort_of(c.rhs), want, label)
-    return result
+    want, result, label, level = _SIGNATURES[t]
+    got, below = _classify(c.body if t in _BINDERS else c.lhs)
+    _expect(got, want, label)
+    if t in _BINARIES and c.rhs is not c.lhs:
+        got, right = _classify(c.rhs)
+        _expect(got, want, label)
+        below = right if right > below else below
+    return result, level if level > below else below
 
 
 def quote_unary(n: int) -> Construction:

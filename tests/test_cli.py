@@ -432,3 +432,13 @@ def test_decide_reads_a_5000_deep_successor_chain(capsys):
     chain = "(s " * 5000 + "z" + ")" * 5000
     assert run(["decide", "--env", "x=3", f"(= x {chain})"]) == 0
     assert capsys.readouterr() == ("ff\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normalize", "²"], "bad numeral '²' (at position 0)"),
+    (["bplus", "¹", "1"], "bad numeral '¹' (at position 0)"),
+    (["eval", "--env", "x=²", "(s x)"], "bad environment entry 'x=²' (at position 0)"),
+], ids=["normalize", "bplus", "eval-env"])
+def test_a_digit_that_int_does_not_read_is_a_parse_error(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -16,7 +16,7 @@ from biforge.presburger import (
     sufficiency_bound,
 )
 from biforge.recognizers import LangLevel
-from biforge.semantics import Environment
+from biforge.semantics import Environment, eval_bool
 from biforge.syntax import (
     And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var, Zero,
     free_vars, quote_unary, substitute,
@@ -48,6 +48,37 @@ def test_linearize_preserves_quantifiers():
     f = linearize(Forall("x", Exists("y", Eq(x, y))))
     assert isinstance(f, QForall)
     assert isinstance(f.body, QExists)
+
+
+def test_linearize_keeps_the_truth_of_each_connective_under_negation(rng):
+    # Negation swaps and/or and flips the left side of imp; checked on
+    # every connective under both polarities against direct evaluation.
+    for _ in range(300):
+        c = random_matrix(rng, ["x", "y"], 3)
+        for f in (c, Not(c)):
+            lin = linearize(f)
+            for vx in range(3):
+                for vy in range(3):
+                    env = {"x": vx, "y": vy}
+                    assert evaluate(lin, env) == eval_bool(f, Environment(env))
+
+
+def test_a_wide_disjunction_stays_within_the_recursion_limit():
+    # q_or_all builds a balanced tree, so each walker over a 3,000-wide
+    # residue recurses about a dozen levels deep, not 3,000.
+    def parts():
+        return [QAtom(EqZero(LinearTerm.make({"x": 1, "y": -1}, -k))) for k in range(3000)]
+
+    wide, again = q_or_all(parts()), q_or_all(parts())
+    flat = []
+    _gather(QOr, wide, set(), flat)
+    assert flat == parts()
+    assert wide == again and hash(wide) == hash(again)
+    assert evaluate(wide, {"x": 2999, "y": 0}) and not evaluate(wide, {"x": 0, "y": 1})
+    assert evaluate(negate(wide), {"x": 0, "y": 1})
+    residue = cooper_eliminate("x", wide)
+    assert residue == cooper_eliminate("x", again)
+    assert evaluate(residue, {"y": 5}) and not evaluate(residue, {"y": -3000})
 
 
 def test_negate_round_trips(rng):

@@ -5,7 +5,7 @@ import pytest
 from biforge.binum import binnum, of_nat, to_construction
 from biforge.errors import ParseError, SortError
 from biforge.sexpr import (
-    binnum_literal, parse_binnum, parse_construction, to_sexpr,
+    _tokenize, binnum_literal, parse_binnum, parse_construction, to_sexpr,
 )
 from biforge.syntax import (
     Abs, And, Eq, Exists, FF, Forall, Implies, Not, Or, Plus, Succ, TT,
@@ -153,10 +153,19 @@ def test_parse_binnum():
     assert parse_binnum("#b110") == binnum([0, 1, 1])
     assert parse_binnum("6") == of_nat(6)
     assert parse_binnum("#b0") == binnum([0])
+    assert parse_binnum("٣") == of_nat(3)  # a decimal digit of another script
     with pytest.raises(ParseError):
         parse_binnum("#b")
     with pytest.raises(ParseError):
         parse_binnum("sixty")
+
+
+@pytest.mark.parametrize("text", ["²", "1²", "¹", "٣²"], ids=["sup2", "1-sup2", "sup1", "arabic3-sup2"])
+def test_parse_binnum_reads_only_what_int_reads(text):
+    # A superscript digit is a digit to str.isdigit() but not to int().
+    with pytest.raises(ParseError) as err:
+        parse_binnum(text)
+    assert str(err.value) == f"bad numeral {text!r} (at position 0)"
 
 
 def test_binnum_literal_is_canonical():
@@ -176,3 +185,57 @@ def test_reader_tables_come_from_the_sort_signatures():
         "s": Succ, "not": Not, "+": Plus, "*": Times, "and": And, "or": Or,
         "imp": Implies, "=": Eq, "forall": Forall, "exists": Exists, "lambda": Abs,
     }
+
+
+# The tokenizer as a character loop, kept as a reference for the one
+# compiled pattern that replaced it.
+_REFERENCE_ATOM_CHARS = set(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-'+*=#")
+
+
+def reference_tokenize(text: str):
+    tokens: list[tuple[str, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append((ch, i))
+            i += 1
+        elif ch in _REFERENCE_ATOM_CHARS:
+            start = i
+            while i < n and text[i] in _REFERENCE_ATOM_CHARS:
+                i += 1
+            tokens.append((text[start:i], start))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+# Atom characters, parentheses, ASCII and Unicode white space (the
+# file separators \x1c-\x1f are white space to str.isspace), and
+# characters that are neither (a zero-width space is not white space).
+_ALPHABET = ("az09AZ_-'+*=#()" + " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u3000"
+             + "\u200b.$,é²٣\x00\U0001f600")
+
+
+def test_tokenizer_matches_the_character_loop_on_random_strings():
+    rng = random.Random("tokenize")
+    for _ in range(3000):
+        text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 12)))
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+def test_tokenizer_skips_exactly_the_characters_str_isspace_accepts():
+    for code in range(0x3100):  # every white space character is below U+3100
+        text = f"(s{chr(code)}z)"
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
