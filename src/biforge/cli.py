@@ -227,6 +227,8 @@ def run(argv: list[str]) -> int:
 
 
 def console_main() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # lift the 4,300-digit cap on int <-> str
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -21,7 +21,7 @@ from .recognizers import LangLevel
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Sort, TT, Var, _classify, _Record, _fold, free_vars, sort_of,
+    Sort, TT, Var, _classify, _Record, _fold, sort_of,
 )
 
 
@@ -279,12 +279,14 @@ def linearize(c: Construction) -> QFormula:
         raise LanguageError("linearize needs a first-order formula over 0, successor and +")
     if sort is not Sort.BOOL:
         raise SortError("linearize needs a formula, not a term")
-    return _linearize(c, False, {})
+    return _linearize(c, False, None, ())
 
 
-def _linearize(c: Construction, neg: bool, values: dict[str, int]) -> QFormula:
-    """``c``, or its negation when ``neg``, over linear atoms, with each
-    free variable of ``values`` replaced by its value."""
+def _linearize(c: Construction, neg: bool, env: Optional[Environment],
+               bound: tuple[str, ...]) -> QFormula:
+    """``c``, or its negation when ``neg``, over linear atoms.  Given an
+    ``env``, each variable not in ``bound``, the names bound above ``c``,
+    is replaced by its value there."""
     match c:
         case TT():
             return _FALSE if neg else _TRUE
@@ -292,24 +294,22 @@ def _linearize(c: Construction, neg: bool, values: dict[str, int]) -> QFormula:
             return _TRUE if neg else _FALSE
         case Eq(l, r):
             t = _linear_of_term(l) - _linear_of_term(r)
-            if values:
+            if env is not None:
                 # values go into the constant before _mk_* reduce it by the gcd
-                t = LinearTerm(tuple(p for p in t.coeffs if p[0] not in values),
-                               t.const + sum(k * values.get(v, 0) for v, k in t.coeffs))
+                t = LinearTerm(tuple(p for p in t.coeffs if p[0] in bound),
+                               t.const + sum(k * env[v] for v, k in t.coeffs if v not in bound))
             return negate(_mk_eq(t)) if neg else _mk_eq(t)
         case Not():
             while type(c) is Not:
                 c, neg = c.arg, not neg
-            return _linearize(c, neg, values)
+            return _linearize(c, neg, env, bound)
         case And(l, r) | Or(l, r) | Implies(l, r):
             # negation swaps ∧ and ∨, and l ⇒ r is ¬l ∨ r
             join = q_and if (type(c) is And) != neg else q_or
-            return join(_linearize(l, neg != (type(c) is Implies), values),
-                        _linearize(r, neg, values))
+            return join(_linearize(l, neg != (type(c) is Implies), env, bound),
+                        _linearize(r, neg, env, bound))
         case Forall(v, b) | Exists(v, b):
-            if v in values:  # the binder hides the free variable
-                values = {w: n for w, n in values.items() if w != v}
-            body = _linearize(b, neg, values)
+            body = _linearize(b, neg, env, (*bound, v))
             return QForall(v, body) if (type(c) is Forall) != neg else QExists(v, body)
     raise SortError(f"not a formula: {c!r}")
 
@@ -367,19 +367,13 @@ def _holds(program, values: list[bool]) -> bool:
     return _holds(l, values) or _holds(r, values)
 
 
-def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
-    c = atom.term.coeff(v)
-    # With m == 1 only a divisibility atom with coefficient -1 changes.
-    if c == 0 or m == 1 and (c > 0 or isinstance(atom, LtZero)):
-        return QAtom(atom)
-    k = m // abs(c)
-    sign = 1 if c > 0 else -1
-    t = atom.term.scale(k).drop(v) + LinearTerm.variable(v, sign)
-    if isinstance(atom, LtZero):
-        return QAtom(LtZero(t))
-    if isinstance(atom, Divides):
-        return QAtom(Divides(atom.d * k, t if sign > 0 else -t))
-    raise AssertionError("equalities must be lowered before coefficient unification")
+def _entry(a: LinearAtom, v: str, m: int) -> tuple[int, int, LinearTerm]:
+    """The atom ``a`` as divisor (0 for an ordering), coefficient on ``m * v``
+    and rest; the coefficient is 1 or -1, and 1 for a divisibility."""
+    k = m // a.term.coeff(v)
+    if type(a) is Divides:
+        return a.d * abs(k), 1, a.term.drop(v).scale(k)
+    return 0, 1 if k > 0 else -1, a.term.drop(v).scale(abs(k))
 
 
 def cooper_eliminate(
@@ -398,9 +392,9 @@ def cooper_eliminate(
     The residue is the disjunction, over test points ``b`` and period
     steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  One
     walk compiles the matrix into a program over a table of its
-    distinct atoms on ``v``, each with its coefficient unified and
-    split into divisor, coefficient ``c`` and rest once; a branch puts
-    in one atom per table entry, and a period step only moves the
+    distinct atoms on ``v``.  Each atom is split once, straight into
+    divisor, coefficient ``c`` unified to the lcm ``m`` and rest; a
+    branch puts in one atom per entry, and a period step only moves the
     constant by ``c * j``.  When every rest is constant and every leaf
     is in the table, every branch is a truth value, so each is decided
     on ints alone.  The residue is ``QTrue`` as soon as one branch
@@ -414,22 +408,14 @@ def cooper_eliminate(
     # Relativize to the naturals: v >= 0, i.e. -v - 1 < 0.  This always
     # contributes a lower bound, so the minus-infinity branch is empty.
     matrix = q_and(matrix, QAtom(LtZero(LinearTerm.variable(v, -1).shift(-1))))
-    if isinstance(matrix, QFalse):
-        if _record is not None:
-            _record.append(Elimination(v, (), 1))
-        return matrix
-
     table: dict[LinearAtom, int] = {}
     loose: list[QFormula] = []
     program = _compile(matrix, v, table, loose)
     m = lcm(*(abs(a.term.coeff(v)) for a in table))
-    atoms = [_unify_coefficient(a, v, m).atom for a in table]
-    if m > 1:
-        program = (True, program, len(atoms))
-        atoms.append(Divides(m, LinearTerm.variable(v)))
-    # Each entry: divisor (0 for an ordering), coefficient on v, rest.
-    entries = [(a.d if type(a) is Divides else 0, a.term.coeff(v), a.term.drop(v))
-               for a in atoms]
+    entries = [_entry(a, v, m) for a in table]
+    if m > 1:  # m | m * v
+        program = (True, program, len(entries))
+        entries.append((m, 1, LinearTerm.constant(0)))
     lowers = {rest for d, c, rest in entries if not d and c == -1}
     delta = lcm(*(d for d, _, _ in entries if d))
     tests = sorted(lowers, key=lambda t: (t.coeffs, t.const))
@@ -513,8 +499,9 @@ def _decide(
     record: Optional[list[Elimination]] = None,
 ) -> TruthValue:
     """Check that ``c`` is a formula of ``level`` and decide it, its free
-    variables valued through ``e``.  The values are folded into the atoms'
-    constants, giving the atoms of ``c`` grounded by unary numerals."""
+    variables valued through ``e``.  The linearizing walk folds the values
+    into the atoms' constants, giving the atoms of ``c`` grounded by unary
+    numerals."""
     name, language = _PROCEDURES[level]
     sort, used = _classify(c)
     if sort is not Sort.BOOL:
@@ -522,7 +509,7 @@ def _decide(
     if used > level:
         raise LanguageError(f"{name} needs a first-order formula over {language}")
     e = e if e is not None else Environment()
-    q = eliminate_quantifiers(_linearize(c, False, {v: e[v] for v in free_vars(c)}), record)
+    q = eliminate_quantifiers(_linearize(c, False, e, ()), record)
     return TruthValue.of(evaluate(q, {}))
 
 

@@ -336,6 +336,24 @@ def test_package_runs_as_a_module():
     assert (done.stdout, done.stderr, done.returncode) == ("tt\n", "", 0)
 
 
+def test_the_command_line_reads_decimals_of_any_length():
+    # Python caps int <-> str conversion at 4,300 digits by default; the
+    # console entry lifts it for the process it runs in.
+    import biforge
+
+    src = str(Path(biforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    ones = "1" * 5000  # (10**5000 - 1) // 9, which this process may not read with int()
+    for argv, want in [
+        (["normalize", ones], "#b" + bin((10**5000 - 1) // 9)[2:]),
+        (["eval", "--env", f"x={ones}", "(s x)"], ones[:-1] + "2"),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "biforge", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.stdout, done.stderr, done.returncode) == (want + "\n", "", 0)
+
+
 @pytest.mark.parametrize("text, line", [
     ("theory T\n  level 2\n  schema induction-l9\n", "line 3: unknown schema kind"),
     ("# header\n\ntheory T\n  level 2\n  axiom open (= x z)\n", "line 3: axiom open of T"),

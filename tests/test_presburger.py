@@ -10,13 +10,14 @@ from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
     Divides, Elimination, EqZero, LinearAtom, LinearTerm, LtZero, QAnd, QAtom,
     QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _decide,
-    _gather, _mk_div, _mk_lt, _unify_coefficient, bounded_oracle,
+    _entry, _gather, _mk_div, _mk_lt, bounded_oracle,
     cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
     eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or, q_or_all,
     sufficiency_bound,
 )
 from biforge.recognizers import LangLevel
 from biforge.semantics import Environment, eval_bool
+from biforge.sexpr import parse_construction
 from biforge.syntax import (
     And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var, Zero,
     free_vars, quote_unary, substitute,
@@ -284,6 +285,21 @@ def _substitute_test(atom, v, b, j):
     raise AssertionError("equalities must be lowered before substitution")
 
 
+def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
+    c = atom.term.coeff(v)
+    # With m == 1 only a divisibility atom with coefficient -1 changes.
+    if c == 0 or m == 1 and (c > 0 or isinstance(atom, LtZero)):
+        return QAtom(atom)
+    k = m // abs(c)
+    sign = 1 if c > 0 else -1
+    t = atom.term.scale(k).drop(v) + LinearTerm.variable(v, sign)
+    if isinstance(atom, LtZero):
+        return QAtom(LtZero(t))
+    if isinstance(atom, Divides):
+        return QAtom(Divides(atom.d * k, t if sign > 0 else -t))
+    raise AssertionError("equalities must be lowered before coefficient unification")
+
+
 def reference_cooper_eliminate(v, matrix, _record=None):
     if isinstance(matrix, QOr):
         flat = []
@@ -485,6 +501,24 @@ def test_direct_elimination_matches_reference(matrix, ground, monkeypatch):
     assert bool(decided) == ground
 
 
+def test_entry_is_the_unified_atom_split():
+    # Each table entry equals the reference's unified atom, split into
+    # divisor, coefficient and rest.
+    rng = random.Random("entry")
+    for _ in range(2000):
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice([c for c in range(-6, 7) if c])
+            t = LinearTerm.make({"y": c, "x": rng.randint(-6, 6), "w": rng.randint(-6, 6)},
+                                rng.randint(-20, 20))
+            atoms.append(LtZero(t) if rng.random() < 0.5 else Divides(rng.randint(1, 6), t))
+        m = lcm(*(abs(a.term.coeff("y")) for a in atoms)) * rng.randint(1, 3)
+        for a in atoms:
+            u = _unify_coefficient(a, "y", m).atom
+            split = (u.d if type(u) is Divides else 0, u.term.coeff("y"), u.term.drop("y"))
+            assert _entry(a, "y", m) == split
+
+
 # ---------------------------------------------------------------------------
 # Reference grounding: the substitution that ``_decide`` replaced, each
 # free variable rewritten into its unary numeral before linearization.
@@ -595,3 +629,64 @@ def test_a_binder_hides_the_value_of_its_variable():
     for c, e in _open_corpus("decide/q3", 3, 2, 30):
         for v in free_vars(c):
             _agrees_with_reference(And(c, Forall(v, c)), e)
+
+
+def _by_numeral(c, e):
+    """``c`` grounded under ``e``: unary numerals for small values, the
+    shared ``#b`` construction for large ones."""
+    if max(e.values(), default=0) < 1000:
+        return reference_ground(c, e)
+    return reference_ground(c, e, lambda n: to_construction(of_nat(n)))
+
+
+@pytest.mark.parametrize("text", [
+    "(and (= x (s z)) (exists x (= x (s (s z)))))",
+    "(exists y (and (= x (+ y y)) (forall x (= x x))))",
+    "(or (exists x (= (+ x x) y)) (= x (+ y (s z))))",
+    "(forall y (imp (= y x) (exists x (= (+ x x) (s y)))))",
+    "(and (= (+ x y) (s (s z))) (forall y (exists x (or (= (+ x x) y) (= (+ x x) (s y))))))",
+    "(exists x (and (= x y) (exists y (= (s x) y))))",
+])
+def test_a_name_free_and_bound_takes_its_value_only_where_free(text):
+    c = parse_construction(text)
+    for n in (0, 1, 2, 5, 10**9):
+        for k in (0, 3):
+            e = {v: n + i * k for i, v in enumerate(sorted(free_vars(c)))}
+            got = _decision(c, Environment(e), LangLevel.L2)
+            assert got == _decision(_by_numeral(c, e), None, LangLevel.L2)
+
+
+def _rebinding_formula(rng, depth):
+    """Level-2 formula over x, y and w with binders at any depth, so one
+    name can be free in one place and bound in another."""
+    if depth <= 0 or rng.random() < 0.3:
+        return random_matrix(rng, ["x", "y", "w"], 1)
+    if rng.random() < 0.4:
+        return rng.choice([Forall, Exists])(rng.choice("xyw"), _rebinding_formula(rng, depth - 1))
+    return rng.choice([And, Or, Implies])(_rebinding_formula(rng, depth - 1),
+                                          _rebinding_formula(rng, depth - 1))
+
+
+def _binders(c):
+    """The names bound anywhere in ``c``."""
+    match c:
+        case Forall(v, b) | Exists(v, b):
+            yield v
+            yield from _binders(b)
+        case Not(a):
+            yield from _binders(a)
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            yield from _binders(l)
+            yield from _binders(r)
+
+
+def test_random_rebinding_matches_reference_grounding():
+    rng = random.Random("decide/rebinding")
+    free_and_bound = 0
+    for _ in range(300):
+        c = _rebinding_formula(rng, 3)
+        e = {v: rng.choice([0, rng.randint(1, 9), 10**9]) for v in sorted(free_vars(c))}
+        got = _decision(c, Environment(e), LangLevel.L2)
+        assert got == _decision(_by_numeral(c, e), None, LangLevel.L2)
+        free_and_bound += any(v in e for v in _binders(c))
+    assert free_and_bound > 30
