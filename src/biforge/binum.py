@@ -9,9 +9,9 @@ as stated, including a rule whose left-hand side duplicates an earlier
 rule's; as a result the rewrite route is not complete and can report a
 stuck term, which callers are expected to surface rather than hide.
 
-The direct route computes on Python ints, padding each result to the
-length its defining clauses give.  One walk down a numeral term's
-``(v + v) + w`` layers both recognizes it and reads its digits.
+A numeral is a value and a width, and the direct route computes on
+both.  One walk down a numeral term's ``(v + v) + w`` layers both
+recognizes it and reads its digits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class BinDigit(enum.IntEnum):
 
 
 _D0, _D1 = BinDigit.D0, BinDigit.D1
-_MEMBERS_ONLY = {BinDigit}
 
 
 def _as_digit(d) -> BinDigit:
@@ -43,67 +42,74 @@ def _as_digit(d) -> BinDigit:
 
 
 class BinNum(_Record):
-    """Non-empty digit sequence ``digits``, least-significant digit first.
+    """The natural ``value`` written in ``width`` binary digits, at least
+    one and at least its bit length; the digits above the value's own
+    are most-significant zeros.  ``digits`` (the :class:`BinDigit`
+    members, least-significant first) and ``len()`` are views of the two
+    fields, and :func:`binnum` builds a numeral from digits.  Numerals
+    compare by value via :func:`to_nat` unless structure is at stake."""
 
-    Most-significant zeros are legal: numerals compare by value via
-    :func:`to_nat` unless structure is explicitly at stake.
-    """
-
-    __slots__ = ("digits",)
+    __slots__ = ("value", "width")
 
     def __post_init__(self):
-        digits = self.digits
-        if not digits:
-            raise ValueError("a numeral has at least one digit")
-        # The kernel emits tuples of members only; other digits are
-        # checked and replaced by members.
-        if type(digits) is not tuple or {*map(type, digits)} != _MEMBERS_ONLY:
-            object.__setattr__(self, "digits", tuple(map(_as_digit, digits)))
+        if self.value < 0:
+            raise ValueError("naturals only")
+        if self.width < max(1, self.value.bit_length()):
+            raise ValueError(f"the value does not fit in {self.width} digits")
 
     def __len__(self):
-        return len(self.digits)
+        return self.width
+
+    def __repr__(self):
+        # In binary: decimal text of an int past 4,300 digits raises.
+        return f"BinNum(value={self.value:#b}, width={self.width})"
+
+    @property
+    def digits(self) -> tuple[BinDigit, ...]:
+        return tuple(_D1 if bit == "1" else _D0 for bit in reversed(_bits(self)))
+
+
+def _bits(b: BinNum) -> str:
+    """The digits of ``b`` as text, most-significant first."""
+    return f"{b.value:0{b.width}b}"
+
+
+_BYTE_CHAR = bytes.maketrans(b"\0\1", b"01")
+
+
+def _of_digits(digits: list[BinDigit]) -> BinNum:
+    """The numeral of a list of digit members, least-significant first."""
+    if not digits:
+        raise ValueError("a numeral has at least one digit")
+    return BinNum(int(bytes(digits[::-1]).translate(_BYTE_CHAR), 2), len(digits))
 
 
 def binnum(digits: Iterable[int]) -> BinNum:
-    return BinNum(tuple(digits))
+    """The numeral of ``digits``, least-significant first, each 0 or 1."""
+    return _of_digits([*map(_as_digit, digits)])
 
 
-# ``_value`` and ``_of_value`` convert between digit tuples and Python
-# ints; the arithmetic below computes on ints and emits the digit tuple
-# once.
-
-_BYTE_CHAR = bytes.maketrans(b"\0\1", b"01")
-_CHAR_DIGIT = {"0": _D0, "1": _D1}
-
-
-def _value(d: tuple[BinDigit, ...]) -> int:
-    return int(bytes(d)[::-1].translate(_BYTE_CHAR), 2)
-
-
-def _of_value(v: int, length: int = 1) -> tuple[BinDigit, ...]:
-    """The digits of ``v``, least-significant first, padded to ``length``."""
-    digits = tuple(map(_CHAR_DIGIT.__getitem__, bin(v)[:1:-1]))
-    return digits + (_D0,) * (length - len(digits))
+def _fit(v: int, width: int = 1) -> BinNum:
+    """``v`` in ``width`` digits, or in as many as it needs if more."""
+    return BinNum(v, max(width, v.bit_length()))
 
 
 def to_nat(b: BinNum) -> int:
     """Positional value: sum of digit * 2^position from the low end."""
-    return _value(b.digits)
+    return b.value
 
 
 def of_nat(n: int) -> BinNum:
     """Canonical numeral for ``n``: no high zeros except for 0 itself."""
-    if n < 0:
-        raise ValueError("naturals only")
-    return BinNum(_of_value(n))
+    return _fit(n)
 
 
 def succ_b(b: BinNum) -> BinNum:
-    return BinNum(_of_value(to_nat(b) + 1, len(b)))
+    return _fit(b.value + 1, b.width)
 
 
 def shift(b: BinNum) -> BinNum:
-    return BinNum((_D0,) + b.digits)
+    return BinNum(b.value << 1, b.width + 1)
 
 
 def bplus(a: BinNum, b: BinNum) -> BinNum:
@@ -117,11 +123,10 @@ def bplus(a: BinNum, b: BinNum) -> BinNum:
 
     ``[a' d]`` is a numeral of two or more digits with low digit ``d``,
     and ``succ^k`` applies :func:`succ_b` ``k`` times.  The clauses are
-    tried in this order; the sum is computed on ints and keeps the shape
+    tried in this order; the sum is computed on ints and keeps the width
     they give, padding included.
     """
-    x, y = a.digits, b.digits
-    return BinNum(_of_value(_value(x) + _value(y), max(len(x), len(y))))
+    return _fit(a.value + b.value, max(a.width, b.width))
 
 
 def btimes(a: BinNum, b: BinNum) -> BinNum:
@@ -136,25 +141,24 @@ def btimes(a: BinNum, b: BinNum) -> BinNum:
 
     The clauses are tried in this order, with :func:`bplus` for the
     additions; the product is computed with one int multiplication and
-    keeps the shape they give, padding included.
+    keeps the width they give, padding included.
     """
-    x, y = a.digits, b.digits
-    if len(y) == 1:
-        return a if y[0] else BinNum((_D0,))
-    n, ly, vx = len(x), len(y), _value(x)
+    if b.width == 1:
+        return a if b.value else BinNum(0, 1)
+    n, vx = a.width, a.value
     if not vx:
-        return BinNum((_D0,) * n)
+        return BinNum(0, n)
     # The clauses read x from its top digit down.  Its t high zeros give
-    # t zeros; its top one digit then gives y's length, or t + 1 if that
-    # is more; each lower digit shifts once.  A sum lengthens the result
+    # t zeros; its top one digit then gives y's width, or t + 1 if that
+    # is more; each lower digit shifts once.  A sum widens the result
     # beyond that only where its value needs the digits.
     t = n - vx.bit_length()
-    return BinNum(_of_value(vx * _value(y), (ly if t == 0 else max(t + 1, ly)) + n - 1 - t))
+    return _fit(vx * b.value, (b.width if t == 0 else max(t + 1, b.width)) + n - 1 - t)
 
 
 def normalize(b: BinNum) -> BinNum:
     """Drop most-significant zeros, keeping at least one digit."""
-    return BinNum(_of_value(to_nat(b)))
+    return _fit(b.value)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +176,8 @@ def to_construction(b: BinNum) -> Construction:
     only re-walk the shared subterm.
     """
     term: Construction = _ZERO
-    for d in reversed(b.digits):
-        term = Plus(Plus(term, term), _ONE if d else _ZERO)
+    for bit in _bits(b):
+        term = Plus(Plus(term, term), _ONE if bit == "1" else _ZERO)
     return term
 
 
@@ -227,7 +231,7 @@ def is_bnum(c: Construction) -> bool:
 
 
 def from_construction(c: Construction) -> BinNum:
-    return BinNum(tuple(_read_or_raise(c, "not a binary-numeral term")))
+    return _of_digits(_read_or_raise(c, "not a binary-numeral term"))
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +260,15 @@ def _split_bnat(c: Construction):
 
 
 def _rule_right_zero(a, b):
-    if b == _ZERO2:
-        return a
-    return None
+    return a if b == _ZERO2 else None
 
 
 def _rule_left_zero(a, b):
-    if a == _ZERO2:
-        return b
-    return None
+    return b if a == _ZERO2 else None
 
 
 def _rule_one_one(a, b):
-    if a == _ONE2 and b == _ONE2:
-        return _TWO2
-    return None
+    return _TWO2 if a == _ONE2 and b == _ONE2 else None
 
 
 def _one_rule(one_left: bool, d: BinDigit, carry: bool):
@@ -319,7 +317,7 @@ _RULES = (
 
 def _literal(c: Construction) -> str:
     """The ``#b`` text of the numeral term ``c``, high zeros kept."""
-    return "#b" + bytes(_read(c)[0])[::-1].translate(_BYTE_CHAR).decode()
+    return "#b" + _bits(_of_digits(_read(c)[0]))
 
 
 def _reduce(a: Construction, b: Construction) -> Construction:
@@ -353,7 +351,8 @@ def bplus_rewrite(a: Construction, b: Construction) -> Construction:
     _read_or_raise(a, "left operand is not a numeral term")
     _read_or_raise(b, "right operand is not a numeral term")
     result = _reduce(a, b)
-    if not is_bnum(result):
-        from .sexpr import to_sexpr  # deferred: sexpr imports this module
-        raise StuckRewrite(result, to_sexpr(result))
+    try:
+        _read_or_raise(result, "a result that is not a numeral term")
+    except NotBnum as err:
+        raise StuckRewrite(result, str(err)) from None
     return result

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .binum import BinNum, _of_value, of_nat, to_construction, to_nat
+from .binum import BinNum, of_nat, to_construction
 from .errors import ParseError
 from .syntax import (
     Construction, FF, TT, Var, Zero, _BINARIES, _BINDERS, _SIGNATURES, _UNARIES, _fold,
@@ -48,7 +48,7 @@ def _read_binary_literal(token: str, pos: int) -> BinNum:
     bits = token[2:]
     if not bits or any(b not in "01" for b in bits):
         raise ParseError(f"bad binary literal {token!r}", pos)
-    return BinNum(_of_value(int(bits, 2), len(bits)))
+    return BinNum(int(bits, 2), len(bits))
 
 
 def _read(tokens: list[tuple[str, int]], i: int):
@@ -155,4 +155,4 @@ def parse_binnum(text: str, pos: int = 0) -> BinNum:
 
 def binnum_literal(b: BinNum) -> str:
     """Canonical ``#b`` form, most-significant bit first."""
-    return "#b" + bin(to_nat(b))[2:]
+    return f"#b{b.value:b}"

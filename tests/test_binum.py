@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -13,6 +15,7 @@ from biforge.binum import (
 )
 from biforge.errors import NotBnum, StuckRewrite
 from biforge.semantics import Environment, eval_nat
+from biforge.sexpr import binnum_literal, parse_binnum
 from biforge.syntax import Plus, Succ, Times, TT, Var, Zero, _Record
 
 D0, D1 = BinDigit.D0, BinDigit.D1
@@ -26,7 +29,7 @@ def all_numerals(max_len):
 
 def test_binnum_validation():
     with pytest.raises(ValueError):
-        BinNum(())
+        binnum(())
     assert len(binnum([0, 1, 1])) == 3
     for bad in ([2], [-1], ["1"], [1, 0, 2]):
         with pytest.raises(ValueError):
@@ -47,6 +50,42 @@ def test_binnum_accepts_what_bindigit_accepts():
 
 def digits_are_members(n: BinNum) -> bool:
     return all(type(d) is BinDigit for d in n.digits)
+
+
+def test_a_numeral_needs_a_natural_value_and_room_for_it():
+    for value, width in ((-1, 1), (0, 0), (1, 0), (4, 2), (2 ** 2048, 2048)):
+        with pytest.raises(ValueError):
+            BinNum(value, width)
+    assert BinNum(4, 3) == of_nat(4) and BinNum(0, 5) == binnum([0] * 5)
+
+
+def numerals_of_any_width():
+    """A value of up to 2,048 bits in a width from its bit length up to
+    2,048 digits, so high zeros included."""
+    st = pytest.importorskip("hypothesis").strategies
+    values = st.integers(0, 2048).flatmap(lambda k: st.integers(0, 2 ** k - 1))
+    return values.flatmap(
+        lambda v: st.integers(max(1, v.bit_length()), 2048).map(lambda w: BinNum(v, w)))
+
+
+def test_value_and_width_agree_with_every_view():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(numerals_of_any_width())
+    def check(b):
+        digits = b.digits
+        assert len(b) == len(digits) == b.width
+        assert all(type(d) is BinDigit and d == b.value >> i & 1 for i, d in enumerate(digits))
+        assert binnum(digits) == b
+        assert from_construction(to_construction(b)) == b
+        assert to_nat(b) == b.value
+        for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert type(twin) is BinNum and twin == b and hash(twin) == hash(b)
+        assert parse_binnum(binnum_literal(b)) == normalize(b)
+
+    check()
 
 
 def test_to_nat():
@@ -472,7 +511,7 @@ def ref_from_construction(c):
         low = node.rhs
         digits.append(BinDigit.D1 if low == REF_ONE else BinDigit.D0)
         if high == REF_ZERO:
-            return BinNum(tuple(digits))
+            return binnum(digits)
         node = high
 
 
@@ -550,6 +589,22 @@ def test_not_bnum_messages_are_bounded():
         assert time.perf_counter() - start < 0.1
         assert len(str(info.value)) < 200
     assert str(info.value) == "left operand is not a numeral term: Succ node at digit 18"
+
+
+def test_a_result_that_is_no_numeral_term_is_named_not_printed(monkeypatch):
+    # Printed as a tree, this 64-layer shared result has 2**64 leaves.
+    wide = Var("x")
+    for _ in range(64):
+        wide = layer(wide, Succ(Zero()))
+    monkeypatch.setattr(binum, "_reduce", lambda a, b: wide)
+    one = to_construction(binnum([1]))
+    start = time.perf_counter()
+    with pytest.raises(StuckRewrite) as info:
+        bplus_rewrite(one, one)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.term is wide
+    assert str(info.value) == ("no rewrite rule applies to a result that is not a "
+                               "numeral term: Var node at digit 64")
 
 
 def test_kernel_at_a_hundred_thousand_digits():

@@ -98,7 +98,7 @@ def test_fields_compare_in_order():
      "QAnd(lhs=QTrue(), rhs=QAtom(atom=LtZero(term=LinearTerm(coeffs=(('x', 2),), const=1))))"),
     (Elimination("x", (t,), 2),
      "Elimination(var='x', tests=(LinearTerm(coeffs=(('x', 2),), const=1),), delta=2)"),
-    (binnum([1, 0]), "BinNum(digits=(<BinDigit.D1: 1>, <BinDigit.D0: 0>))"),
+    (binnum([1, 0]), "BinNum(value=0b1, width=2)"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else "")
 def test_repr_names_every_field(record, text):
     assert repr(record) == text
@@ -130,9 +130,9 @@ def test_deepcopy_keeps_a_shared_child_shared():
 def test_constructors_take_fields_by_keyword_and_run_their_checks():
     assert Plus(lhs=x, rhs=Zero()) == Plus(x, Zero())
     assert Divides(term=t, d=3) == Divides(3, t)
-    assert BinNum([1, 0]).digits == binnum([1, 0]).digits
+    assert BinNum(width=2, value=1) == binnum([1, 0])
     for build in (lambda: Var(""), lambda: Forall("", TT()), lambda: Abs("", TT()),
-                  lambda: Divides(0, t), lambda: BinNum(()), lambda: Bounded(-1),
+                  lambda: Divides(0, t), lambda: BinNum(value=1, width=0), lambda: Bounded(-1),
                   lambda: RandomizedModelCheck(0, 3)):
         with pytest.raises(ValueError):
             build()
@@ -166,8 +166,10 @@ def test_class_patterns_match_by_position_and_keyword():
         case _:
             pytest.fail("no case matched")
     match binnum([0, 1]):
-        case BinNum(digits):
-            assert digits == (0, 1)
+        case BinNum(value, width=2):
+            assert value == 2
+        case _:
+            pytest.fail("no case matched")
 
 
 def test_a_2048_bit_literal_copies_and_pickles_in_linear_time():
