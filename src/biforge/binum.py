@@ -77,16 +77,12 @@ def _bits(b: BinNum) -> str:
 _BYTE_CHAR = bytes.maketrans(b"\0\1", b"01")
 
 
-def _of_digits(digits: list[BinDigit]) -> BinNum:
-    """The numeral of a list of digit members, least-significant first."""
-    if not digits:
-        raise ValueError("a numeral has at least one digit")
-    return BinNum(int(bytes(digits[::-1]).translate(_BYTE_CHAR), 2), len(digits))
-
-
 def binnum(digits: Iterable[int]) -> BinNum:
     """The numeral of ``digits``, least-significant first, each 0 or 1."""
-    return _of_digits([*map(_as_digit, digits)])
+    members = [*map(_as_digit, digits)]
+    if not members:
+        raise ValueError("a numeral has at least one digit")
+    return BinNum(int(bytes(members[::-1]).translate(_BYTE_CHAR), 2), len(members))
 
 
 def _fit(v: int, width: int = 1) -> BinNum:
@@ -168,60 +164,64 @@ _ZERO = Zero()
 _ONE = Succ(Zero())
 
 
+_new = object.__new__
+_set_lhs, _set_rhs = Plus.lhs.__set__, Plus.rhs.__set__
+
+
 def to_construction(b: BinNum) -> Construction:
     """Quote a numeral as nested ``(x + x) + digit`` terms.
 
     Builds the nodes directly: every layer is well-sorted by
     construction, so the checked :func:`biforge.syntax.bnat` round would
-    only re-walk the shared subterm.
+    only re-walk the shared subterm.  ``Plus`` has no ``__post_init__``,
+    so storing its two slots is all that ``Plus(lhs, rhs)`` would do.
     """
     term: Construction = _ZERO
     for bit in _bits(b):
-        term = Plus(Plus(term, term), _ONE if bit == "1" else _ZERO)
+        inner = _new(Plus)
+        _set_lhs(inner, term)
+        _set_rhs(inner, term)
+        term = _new(Plus)
+        _set_lhs(term, inner)
+        _set_rhs(term, _ONE if bit == "1" else _ZERO)
     return term
 
 
-def _digit(w: Construction) -> Optional[BinDigit]:
-    """The digit that the digit term ``w`` (zero or the successor of
-    zero) stands for, else None.  The type tests are exact: records of
-    different classes are unequal, and Zero has no fields."""
-    if type(w) is Zero:
-        return _D0
-    if type(w) is Succ and type(w.arg) is Zero:
-        return _D1
-    return None
-
-
-def _read(c: Construction) -> tuple[list[BinDigit], Optional[Construction]]:
+def _read(c: Construction) -> tuple[bytearray, Optional[Construction]]:
     """Walk ``(v + v) + w`` layers from the top: the digits read, least-
-    significant first, and None when ``c`` is a numeral term, else the
-    first node that breaks the grammar."""
-    digits: list[BinDigit] = []
+    significant first, as the ASCII bits ``0``/``1``, and None when ``c``
+    is a numeral term, else the first node that breaks the grammar.  A
+    digit term is zero or the successor of zero; the type tests are
+    exact, as records of different classes are unequal and Zero has no
+    fields."""
+    bits = bytearray()
     while True:
         if not isinstance(c, Plus):
-            return digits, c
+            return bits, c
         inner = c.lhs
         if not isinstance(inner, Plus):
-            return digits, inner
+            return bits, inner
         v1, v2, w = inner.lhs, inner.rhs, c.rhs
         if v1 is not v2 and v1 != v2:
-            return digits, inner
-        d = _digit(w)
-        if d is None:
-            return digits, w
-        digits.append(d)
+            return bits, inner
+        if type(w) is Zero:
+            bits.append(48)
+        elif type(w) is Succ and type(w.arg) is Zero:
+            bits.append(49)
+        else:
+            return bits, w
         if type(v1) is Zero:
-            return digits, None
+            return bits, None
         c = v1
 
 
-def _read_or_raise(c: Construction, what: str) -> list[BinDigit]:
-    digits, stop = _read(c)
+def _read_or_raise(c: Construction, what: str) -> bytearray:
+    bits, stop = _read(c)
     if stop is not None:
         # Names the node instead of printing the term: a shared numeral
         # DAG prints in time and space exponential in its digit count.
-        raise NotBnum(f"{what}: {type(stop).__name__} node at digit {len(digits)}")
-    return digits
+        raise NotBnum(f"{what}: {type(stop).__name__} node at digit {len(bits)}")
+    return bits
 
 
 def is_bnum(c: Construction) -> bool:
@@ -231,7 +231,8 @@ def is_bnum(c: Construction) -> bool:
 
 
 def from_construction(c: Construction) -> BinNum:
-    return _of_digits(_read_or_raise(c, "not a binary-numeral term"))
+    bits = _read_or_raise(c, "not a binary-numeral term")
+    return BinNum(int(bits[::-1], 2), len(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +251,32 @@ _TWO2 = Plus(Plus(_ONE2, _ONE2), _ZERO)    # the (10) numeral term
 
 # Every operand a rule sees is a numeral term: bplus_rewrite checks both
 # operands on entry, and each rule's output reduces to a numeral term
-# again.  So an operand always splits, and its high part ``v`` is a
-# numeral term exactly when ``type(v) is not Zero``; the guards test
-# that in O(1) instead of walking ``v``.
+# again.  So an operand always splits, its digit term is zero or a
+# successor, and its high part ``v`` is a numeral term exactly when
+# ``type(v) is not Zero``; the guards test that in O(1) instead of
+# walking ``v``.
 
 def _split_bnat(c: Construction):
     """High part and digit of the numeral term ``(v + v) + w``."""
-    return c.lhs.lhs, _digit(c.rhs)
+    return c.lhs.lhs, _D1 if type(c.rhs) is Succ else _D0
+
+
+def _is_single(c: Construction, digit_type: type) -> bool:
+    """Whether the numeral term ``c`` has one digit, whose term is of
+    ``digit_type``: ``c == _ZERO2`` for Zero, ``c == _ONE2`` for Succ."""
+    return type(c.rhs) is digit_type and type(c.lhs.lhs) is Zero
 
 
 def _rule_right_zero(a, b):
-    return a if b == _ZERO2 else None
+    return a if _is_single(b, Zero) else None
 
 
 def _rule_left_zero(a, b):
-    return b if a == _ZERO2 else None
+    return b if _is_single(a, Zero) else None
 
 
 def _rule_one_one(a, b):
-    return _TWO2 if a == _ONE2 and b == _ONE2 else None
+    return _TWO2 if _is_single(a, Succ) and _is_single(b, Succ) else None
 
 
 def _one_rule(one_left: bool, d: BinDigit, carry: bool):
@@ -276,7 +284,7 @@ def _one_rule(one_left: bool, d: BinDigit, carry: bool):
     ``[u 1]`` without a carry, ``[u+(1) 0]`` with one."""
     def rule(a, b):
         one, other = (a, b) if one_left else (b, a)
-        if one != _ONE2:
+        if not _is_single(one, Succ):
             return None
         high, e = _split_bnat(other)
         if e is not d or type(high) is Zero:
@@ -317,7 +325,7 @@ _RULES = (
 
 def _literal(c: Construction) -> str:
     """The ``#b`` text of the numeral term ``c``, high zeros kept."""
-    return "#b" + _bits(_of_digits(_read(c)[0]))
+    return "#b" + _read(c)[0][::-1].decode()
 
 
 def _reduce(a: Construction, b: Construction) -> Construction:

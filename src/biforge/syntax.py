@@ -64,8 +64,23 @@ class _Record:
         return self
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={_field_repr(getattr(self, n))}" for n in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _field_repr(v) -> str:
+    """``repr(v)``, except that an int past Python's cap on decimal
+    conversion (4,300 digits by default), alone or in a tuple, is
+    written in hex, where ``repr`` would raise ValueError."""
+    try:
+        return repr(v)
+    except ValueError:
+        if isinstance(v, int):
+            return hex(v)
+        if type(v) is tuple:
+            items = ", ".join(map(_field_repr, v))
+            return f"({items},)" if len(v) == 1 else f"({items})"
+        raise
 
 
 class _Spine(_Record):

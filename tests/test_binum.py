@@ -623,3 +623,130 @@ def test_kernel_at_a_hundred_thousand_digits():
     assert digits_are_members(product)
     total = bplus(x, padded)
     assert to_nat(total) == vx + vy and len(total) == len(padded)
+
+
+# The quote loop, the reader and the rewrite guards skip layers of the
+# kernel: the quote stores Plus slots without calling Plus, the reader
+# keeps ASCII bits, and a guard tests the split of its operand instead
+# of comparing it with the (0)/(1) numeral terms.  These pin each to
+# the walk it replaced.
+
+def ref_to_construction(b):
+    """The quote as written with ``Plus(...)``, on the kernel's leaves."""
+    term = binum._ZERO
+    for bit in reversed(b.digits):
+        term = Plus(Plus(term, term), binum._ONE if bit else binum._ZERO)
+    return term
+
+
+def test_the_quote_loop_has_no_post_init_to_skip():
+    # to_construction builds Plus nodes with object.__new__ and the slot
+    # setters; a __post_init__ would run in Plus(...) and not there.
+    assert not hasattr(Plus, "__post_init__")
+
+
+def test_the_quote_equals_a_plus_built_reference():
+    rng = random.Random(2048)
+    numerals = [*all_numerals(8)]
+    numerals += [binnum(rng.randrange(2) for _ in range(rng.randint(1, 2048)))
+                 for _ in range(200)]
+    for b in numerals:
+        # Compared into bools: a failing assert would print the terms,
+        # which as trees have 2**len(b) leaves.
+        got, want = to_construction(b), ref_to_construction(b)
+        same = got == want and pickle.dumps(got) == pickle.dumps(want)
+        assert same, b
+        node, shared = got, []
+        while type(node) is Plus:
+            shared.append(type(node.lhs) is Plus and node.lhs.lhs is node.lhs.rhs)
+            node = node.lhs.lhs
+        assert type(node) is Zero and shared == [True] * len(b), b
+
+
+def test_one_digit_guards_agree_with_equality():
+    for b in all_numerals(8):
+        t = to_construction(b)
+        verdicts = (binum._is_single(t, Zero), binum._is_single(t, Succ))
+        assert verdicts == (t == binum._ZERO2, t == binum._ONE2), b
+        digit = binum._split_bnat(t)[1]
+        assert digit is b.digits[0], b
+
+
+def ref_read(c):
+    """The reader that kept a list of digit members."""
+    digits = []
+    while True:
+        if not isinstance(c, Plus):
+            return digits, c
+        inner = c.lhs
+        if not isinstance(inner, Plus):
+            return digits, inner
+        v1, v2, w = inner.lhs, inner.rhs, c.rhs
+        if v1 is not v2 and v1 != v2:
+            return digits, inner
+        if type(w) is Zero:
+            digits.append(D0)
+        elif type(w) is Succ and type(w.arg) is Zero:
+            digits.append(D1)
+        else:
+            return digits, w
+        if type(v1) is Zero:
+            return digits, None
+        c = v1
+
+
+def ref_not_bnum_text(c, what):
+    digits, stop = ref_read(c)
+    return None if stop is None else f"{what}: {type(stop).__name__} node at digit {len(digits)}"
+
+
+def planted_breaks(bits):
+    """For each layer of the numeral term of ``bits`` (most-significant
+    first), the term with that layer replaced by a near miss."""
+    plants = {
+        "outer node no sum": lambda v, w: Times(Plus(v, v), w),
+        "inner node no sum": lambda v, w: Plus(Times(v, v), w),
+        "unequal halves": lambda v, w: Plus(Plus(v, Plus(Plus(v, v), w)), w),
+        "equal unshared halves": lambda v, w: Plus(Plus(v, unshared_twin(v)), w),
+        "bad digit term": lambda v, w: Plus(Plus(v, v), Succ(Succ(w))),
+        "digit term a variable": lambda v, w: Plus(Plus(v, v), Var("x")),
+    }
+    for name, plant in plants.items():
+        for at in range(len(bits)):
+            term = Zero()
+            for i, bit in enumerate(bits):
+                w = Succ(Zero()) if bit == "1" else Zero()
+                term = plant(term, w) if i == at else Plus(Plus(term, term), w)
+            yield f"{name} at {at}", term
+
+
+def unshared_twin(c):
+    """A numeral term equal to ``c`` (or zero) that is another object."""
+    return Zero() if type(c) is Zero else ref_to_construction(from_construction(c))
+
+
+def test_a_break_at_any_layer_raises_the_reference_text():
+    rng = random.Random(64)
+    bits = "1" + "".join(rng.choice("01") for _ in range(63))
+    value = int(bits, 2)
+    partner = to_construction(of_nat(value ^ (1 << 62)))
+    accepted = 0
+    for name, c in planted_breaks(bits):
+        text = ref_not_bnum_text(c, "not a binary-numeral term")
+        recognized = is_bnum(c)
+        assert recognized == (text is None), name
+        if text is None:
+            accepted += 1
+            assert from_construction(c) == of_nat(value), name
+            total = from_construction(bplus_rewrite(c, partner))
+            assert to_nat(total) == value + (value ^ (1 << 62)), name
+            continue
+        with pytest.raises(NotBnum) as info:
+            from_construction(c)
+        assert str(info.value) == text, name
+        for left, right, what in ((c, partner, "left"), (partner, c, "right")):
+            with pytest.raises(NotBnum) as info:
+                bplus_rewrite(left, right)
+            assert str(info.value) == ref_not_bnum_text(
+                c, f"{what} operand is not a numeral term"), name
+    assert accepted == 64

@@ -186,3 +186,22 @@ def test_a_2048_bit_literal_copies_and_pickles_in_linear_time():
         assert twin.lhs.lhs is twin.lhs.rhs
         assert best < 0.1
     assert copy.deepcopy(literal) is literal
+
+
+def test_an_int_past_the_decimal_cap_is_written_in_hex():
+    # repr(int) raises ValueError past Python's decimal conversion cap
+    # (4,300 digits by default); a record writes such an int in hex and
+    # keeps the decimal text of every int the cap allows.
+    def written(v):
+        try:
+            return str(v)
+        except ValueError:
+            return hex(v)
+
+    for big in (10 ** 4299, 10 ** 5000, -(10 ** 5000)):
+        assert repr(LinearTerm.make({"x": 1}, big)) == (
+            f"LinearTerm(coeffs=(('x', 1),), const={written(big)})")
+        assert repr(LinearTerm.make({"x": big, "y": 2}, 3)) == (
+            f"LinearTerm(coeffs=(('x', {written(big)}), ('y', 2)), const=3)")
+        assert repr(LinearTerm.make({"x": big}, 3)) == (
+            f"LinearTerm(coeffs=(('x', {written(big)}),), const=3)")
