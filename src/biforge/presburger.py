@@ -21,7 +21,7 @@ from .recognizers import LangLevel
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Sort, TT, Var, _classify, _Record, _fold, sort_of,
+    Plus, Sort, Succ, TT, Var, _classify, _Record, sort_of,
 )
 
 
@@ -200,32 +200,37 @@ def q_or_all(parts: list[QFormula]) -> QFormula:
     return kept[0]
 
 
-def _reduce(t: LinearTerm, d: int = 0) -> tuple[int, LinearTerm]:
-    """The gcd ``g`` of ``d`` and ``t``'s coefficients and constant, and
-    ``t`` divided by ``g``."""
-    g = gcd(d, *(abs(c) for _, c in t.coeffs), abs(t.const))
-    if g > 1:
-        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
-    return g, t
-
-
 def _mk_eq(t: LinearTerm) -> QFormula:
     if t.is_constant:
         return _TRUE if t.const == 0 else _FALSE
-    return QAtom(EqZero(_reduce(t)[1]))
+    g = gcd(t.const, *(c for _, c in t.coeffs))
+    if g > 1:
+        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
+    return QAtom(EqZero(t))
+
+
+def _atom(d: int, coeffs: tuple, g: int, k: int) -> QFormula:
+    """``d | t``, or ``t < 0`` when ``d`` is 0, of the term ``t`` of
+    ``coeffs``, whose gcd is ``g``, and constant ``k``: a constant atom
+    folds to ``QTrue`` or ``QFalse``, any other is divided by
+    ``gcd(d, g, k)``, and ``QTrue`` when that is ``d``."""
+    if not coeffs:
+        return _TRUE if (k % d == 0 if d else k < 0) else _FALSE
+    g = gcd(d, g, k)
+    if g == d:
+        return _TRUE
+    if g > 1:
+        coeffs, k = tuple((u, c // g) for u, c in coeffs), k // g
+    t = LinearTerm(coeffs, k)
+    return QAtom(Divides(d // g, t) if d else LtZero(t))
 
 
 def _mk_lt(t: LinearTerm) -> QFormula:
-    if t.is_constant:
-        return _TRUE if t.const < 0 else _FALSE
-    return QAtom(LtZero(_reduce(t)[1]))
+    return _atom(0, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
 
 
 def _mk_div(d: int, t: LinearTerm) -> QFormula:
-    if t.is_constant:
-        return _TRUE if t.const % d == 0 else _FALSE
-    g, t = _reduce(t, d)
-    return _TRUE if g == d else QAtom(Divides(d // g, t))
+    return _atom(d, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
 
 
 def negate(f: QFormula) -> QFormula:
@@ -239,7 +244,7 @@ def negate(f: QFormula) -> QFormula:
         case QAtom(EqZero(t)):
             return q_or(_mk_lt(t), _mk_lt(-t))
         case QAtom(LtZero(t)):
-            return _mk_lt((-t).shift(-1))
+            return _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const))
         case QAtom(Divides(d, t)):
             return q_or_all([_mk_div(d, t.shift(r)) for r in range(1, d)])
         case QAnd(l, r):
@@ -255,14 +260,6 @@ def negate(f: QFormula) -> QFormula:
 
 # ---------------------------------------------------------------------------
 # Translation from constructions.
-
-# Reached only through sort- and level-checked formulas, whose terms hold
-# nothing but zero, variables, successors and sums.
-_linear_of_term = _fold(
-    lambda c: LinearTerm.variable(c.name) if type(c) is Var else LinearTerm.constant(0),
-    lambda c, a, b=None: a.shift(1) if b is None else a + b,
-)
-
 
 def linearize(c: Construction) -> QFormula:
     """Translate a level-2 formula into quantifier-structured linear atoms.
@@ -293,11 +290,7 @@ def _linearize(c: Construction, neg: bool, env: Optional[Environment],
         case FF():
             return _TRUE if neg else _FALSE
         case Eq(l, r):
-            t = _linear_of_term(l) - _linear_of_term(r)
-            if env is not None:
-                # values go into the constant before _mk_* reduce it by the gcd
-                t = LinearTerm(tuple(p for p in t.coeffs if p[0] in bound),
-                               t.const + sum(k * env[v] for v, k in t.coeffs if v not in bound))
+            t = _difference(l, r, env, bound)
             return negate(_mk_eq(t)) if neg else _mk_eq(t)
         case Not():
             while type(c) is Not:
@@ -312,6 +305,27 @@ def _linearize(c: Construction, neg: bool, env: Optional[Environment],
             body = _linearize(b, neg, env, (*bound, v))
             return QForall(v, body) if (type(c) is Forall) != neg else QExists(v, body)
     raise SortError(f"not a formula: {c!r}")
+
+
+def _difference(l: Construction, r: Construction, env: Optional[Environment],
+                bound: tuple[str, ...]) -> LinearTerm:
+    """``l - r``, in one walk of both sides that takes each node with its
+    weight: a chain of ``s`` adds its length to the constant, and ``t + t``
+    walks ``t`` once at twice the weight.  Given an ``env``, each name not
+    in ``bound`` goes into the constant at its value there."""
+    coeffs: dict[str, int] = {}
+    const, stack = 0, [(l, 1), (r, -1)]
+    while stack:
+        t, k = stack.pop()
+        while type(t) is Succ:
+            t, const = t.arg, const + k
+        if type(t) is Plus:
+            stack += [(t.lhs, 2 * k)] if t.rhs is t.lhs else [(t.lhs, k), (t.rhs, k)]
+        elif type(t) is Var and env is not None and t.name not in bound:
+            const += k * env[t.name]  # before _mk_* reduce it by the gcd
+        elif type(t) is Var:
+            coeffs[t.name] = coeffs.get(t.name, 0) + k
+    return LinearTerm.make(coeffs, const)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +348,8 @@ def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFor
         case QAnd(l, r) | QOr(l, r):
             return type(f) is QAnd, _compile(l, v, table, loose), _compile(r, v, table, loose)
         case QAtom(EqZero(t)) if t.coeff(v):
-            lo, hi = _mk_lt(t.shift(-1)).atom, _mk_lt((-t).shift(-1)).atom
+            lo = _mk_lt(LinearTerm(t.coeffs, t.const - 1)).atom
+            hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
             return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
         case QAtom(a) if a.term.coeff(v):
             return table.setdefault(a, len(table))
@@ -342,19 +357,6 @@ def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFor
             loose.append(f)
             return f
     raise AssertionError("quantifier inside a matrix")
-
-
-def _place(program, placed: list[QFormula]) -> QFormula:
-    """The formula of ``program`` with each index replaced by its entry
-    in ``placed``, folded.  A conjunction stops at a false conjunct and
-    a disjunction at a true one."""
-    if type(program) is not tuple:
-        return placed[program] if type(program) is int else program
-    is_and, l, r = program
-    l = _place(l, placed)
-    if is_and:
-        return l if isinstance(l, QFalse) else q_and(l, _place(r, placed))
-    return l if isinstance(l, QTrue) else q_or(l, _place(r, placed))
 
 
 def _holds(program, values: list[bool]) -> bool:
@@ -367,13 +369,33 @@ def _holds(program, values: list[bool]) -> bool:
     return _holds(l, values) or _holds(r, values)
 
 
+def _place(program, moved: list, x: int, placed: list) -> QFormula:
+    """The formula of ``program`` at the candidate constant ``x``, folded:
+    index ``i`` stands for the atom of ``moved[i] = (d, c, coeffs, k, g)``
+    at constant ``k + c * x``, built the first time the fold reaches it
+    and kept in ``placed``.  A conjunction stops at a false conjunct and
+    a disjunction at a true one."""
+    if type(program) is not tuple:
+        if type(program) is not int:
+            return program
+        f = placed[program]
+        if f is None:
+            d, c, coeffs, k, g = moved[program]
+            f = placed[program] = _atom(d, coeffs, g, k + c * x)
+        return f
+    is_and, l, r = program
+    l = _place(l, moved, x, placed)
+    if is_and:
+        return l if isinstance(l, QFalse) else q_and(l, _place(r, moved, x, placed))
+    return l if isinstance(l, QTrue) else q_or(l, _place(r, moved, x, placed))
+
+
 def _entry(a: LinearAtom, v: str, m: int) -> tuple[int, int, LinearTerm]:
     """The atom ``a`` as divisor (0 for an ordering), coefficient on ``m * v``
     and rest; the coefficient is 1 or -1, and 1 for a divisibility."""
-    k = m // a.term.coeff(v)
-    if type(a) is Divides:
-        return a.d * abs(k), 1, a.term.drop(v).scale(k)
-    return 0, 1 if k > 0 else -1, a.term.drop(v).scale(abs(k))
+    t, k = a.term, m // a.term.coeff(v)
+    d, c, k = (a.d * abs(k), 1, k) if type(a) is Divides else (0, 1 if k > 0 else -1, abs(k))
+    return d, c, LinearTerm(tuple((u, x * k) for u, x in t.coeffs if u != v), t.const * k)
 
 
 def cooper_eliminate(
@@ -392,14 +414,16 @@ def cooper_eliminate(
     The residue is the disjunction, over test points ``b`` and period
     steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  One
     walk compiles the matrix into a program over a table of its
-    distinct atoms on ``v``.  Each atom is split once, straight into
-    divisor, coefficient ``c`` unified to the lcm ``m`` and rest; a
-    branch puts in one atom per entry, and a period step only moves the
-    constant by ``c * j``.  When every rest is constant and every leaf
-    is in the table, every branch is a truth value, so each is decided
-    on ints alone.  The residue is ``QTrue`` as soon as one branch
-    folds to it, and the ``Elimination`` record lists every test point
-    either way.
+    distinct atoms on ``v``, each split once into ints: divisor,
+    coefficient ``c`` unified to the lcm ``m``, and the coefficients
+    and constant of its rest.  Each distinct candidate ``b + j`` is
+    tried once, where its first pair comes.  Each rest is merged with
+    ``c * b`` once per distinct ``b.coeffs``; per candidate only the
+    constants move, and an atom is built only when the fold of its
+    branch reaches it, or not at all when every rest is constant and
+    every leaf is in the table: then each candidate is decided on ints.
+    The residue is ``QTrue`` as soon as one branch folds to it, and the
+    ``Elimination`` record lists every test point either way.
     """
     if isinstance(matrix, QOr):
         flat: list[QFormula] = []
@@ -407,36 +431,40 @@ def cooper_eliminate(
         return q_or_all([cooper_eliminate(v, part, _record) for part in flat])
     # Relativize to the naturals: v >= 0, i.e. -v - 1 < 0.  This always
     # contributes a lower bound, so the minus-infinity branch is empty.
-    matrix = q_and(matrix, QAtom(LtZero(LinearTerm.variable(v, -1).shift(-1))))
+    matrix = q_and(matrix, QAtom(LtZero(LinearTerm(((v, -1),), -1))))
     table: dict[LinearAtom, int] = {}
     loose: list[QFormula] = []
     program = _compile(matrix, v, table, loose)
     m = lcm(*(abs(a.term.coeff(v)) for a in table))
-    entries = [_entry(a, v, m) for a in table]
+    entries = [(d, c, rest.coeffs, rest.const) for d, c, rest in (_entry(a, v, m) for a in table)]
     if m > 1:  # m | m * v
         program = (True, program, len(entries))
-        entries.append((m, 1, LinearTerm.constant(0)))
-    lowers = {rest for d, c, rest in entries if not d and c == -1}
-    delta = lcm(*(d for d, _, _ in entries if d))
-    tests = sorted(lowers, key=lambda t: (t.coeffs, t.const))
+        entries.append((m, 1, (), 0))
+    tests = sorted({(cs, k) for d, c, cs, k in entries if not d and c == -1})
+    delta = lcm(*(d for d, *_ in entries if d))
     if _record is not None:
-        _record.append(Elimination(v, tuple(tests), delta))
+        _record.append(Elimination(v, tuple(LinearTerm(cs, k) for cs, k in tests), delta))
 
-    if not loose and all(rest.is_constant for _, _, rest in entries):
-        for b in tests:
-            ks = [(d, c, rest.const + c * b.const) for d, c, rest in entries]
-            for j in range(1, delta + 1):
-                if _holds(program, [(k + c * j) % d == 0 if d else k + c * j < 0
-                                    for d, c, k in ks]):
-                    return _TRUE
+    # per distinct b.coeffs, each distinct b.const + j, in the order its first pair comes
+    candidates: dict[tuple, list[int]] = {}
+    for cs, k in tests:
+        xs = candidates.setdefault(cs, [])
+        xs += range(max(xs[-1], k) + 1 if xs else k + 1, k + delta + 1)
+    if not loose and not any(cs for _, _, cs, _ in entries):
+        for x in candidates.get((), ()):
+            if _holds(program, [(k + c * x) % d == 0 if d else k + c * x < 0
+                                for d, c, _, k in entries]):
+                return _TRUE
         return _FALSE
     branches = []
-    for b in tests:
-        moved = [(d, c, rest + b.scale(c)) for d, c, rest in entries]
-        for j in range(1, delta + 1):
-            branch = _place(program, [
-                _mk_div(d, LinearTerm(t.coeffs, t.const + c * j)) if d
-                else _mk_lt(LinearTerm(t.coeffs, t.const + c * j)) for d, c, t in moved])
+    for bs, xs in candidates.items():
+        moved = []
+        for d, c, cs, k in entries:
+            if bs:
+                cs = (LinearTerm(cs, 0) + LinearTerm(bs, 0).scale(c)).coeffs
+            moved.append((d, c, cs, k, gcd(*(a for _, a in cs))))
+        for x in xs:
+            branch = _place(program, moved, x, [None] * len(moved))
             if isinstance(branch, QTrue):
                 return _TRUE
             branches.append(branch)

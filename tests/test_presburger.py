@@ -20,7 +20,7 @@ from biforge.semantics import Environment, eval_bool
 from biforge.sexpr import parse_construction
 from biforge.syntax import (
     And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var, Zero,
-    free_vars, quote_unary, substitute,
+    _fold, free_vars, quote_unary, substitute,
 )
 from .conftest import random_matrix, random_sentence
 
@@ -690,3 +690,173 @@ def test_random_rebinding_matches_reference_grounding():
         assert got == _decision(_by_numeral(c, e), None, LangLevel.L2)
         free_and_bound += any(v in e for v in _binders(c))
     assert free_and_bound > 30
+
+
+# ---------------------------------------------------------------------------
+# Reference linearization: the per-node fold that ``_difference``
+# replaced, one ``LinearTerm`` per node of each side, and the values of an
+# environment folded into the difference afterwards.  The one walk must
+# give equal terms, and ``_linearize`` equal formulas.
+
+reference_linear_of_term = _fold(
+    lambda c: LinearTerm.variable(c.name) if type(c) is Var else LinearTerm.constant(0),
+    lambda c, a, b=None: a.shift(1) if b is None else a + b,
+)
+
+
+def reference_difference(l, r, env, bound):
+    t = reference_linear_of_term(l) - reference_linear_of_term(r)
+    if env is not None:
+        t = LinearTerm(tuple(p for p in t.coeffs if p[0] in bound),
+                       t.const + sum(k * env[v] for v, k in t.coeffs if v not in bound))
+    return t
+
+
+def _linearized_both(c, env, monkeypatch):
+    got = presburger._linearize(c, False, env, ())
+    with monkeypatch.context() as m:
+        m.setattr(presburger, "_difference", reference_difference)
+        want = presburger._linearize(c, False, env, ())
+    return got, want
+
+
+def _doubled(t, n):
+    """``t`` added to itself ``n`` times over, each sum of one shared child."""
+    for _ in range(n):
+        t = Plus(t, t)
+    return t
+
+
+def test_linearize_walk_matches_the_fold_reference(monkeypatch):
+    rng = random.Random("linearize/walk")
+    big = [0, 1, 10**9, 10**9 + 7, 10**30, 2**200]
+    for _ in range(1500):
+        c = random_matrix(rng, ["x", "y", "w"], 3)
+        if rng.random() < 0.5:
+            c = _rebinding_formula(rng, 3)
+        for env in (None, Environment({v: rng.choice(big) for v in "xyw"})):
+            got, want = _linearized_both(c, env, monkeypatch)
+            assert got == want
+
+
+@pytest.mark.parametrize("l, r", [
+    # shared (v + v) children, so the weight doubles at each layer
+    (_doubled(x, 60), _doubled(Plus(y, Succ(x)), 40)),
+    (to_construction(of_nat(10**40 + 12345)), Plus(_doubled(Succ(y), 30), x)),
+    (Plus(x, to_construction(of_nat(2**100 - 1))), _doubled(Plus(x, y), 3)),
+    # successor chains 10,000 deep, on either side and under a sum
+    (_succs(x, 10_000), _succs(Zero(), 10_000)),
+    (Plus(_succs(y, 10_000), _succs(x, 3)), _succs(Plus(x, x), 10_000)),
+])
+def test_difference_on_shared_children_and_deep_chains(l, r):
+    for env, bound in [(None, ()), (Environment({"x": 10**9, "y": 10**12 + 1}), ()),
+                       (Environment({"x": 2**64}), ("y",)), (Environment(), ("x", "y"))]:
+        got = presburger._difference(l, r, env, bound)
+        assert got == reference_difference(l, r, env, bound)
+
+
+def test_difference_walks_a_sum_chain_deeper_than_the_recursion_limit():
+    # The walk keeps its own stack: x + (x + (... + (y + 1))) with 20,000 x's.
+    t = Succ(y)
+    for _ in range(20_000):
+        t = Plus(x, t)
+    assert presburger._difference(t, Zero(), None, ()) == LinearTerm.make({"x": 20_000, "y": 1}, 1)
+    got = presburger._difference(x, t, Environment({"x": 10**9}), ("y",))
+    assert got == LinearTerm.make({"y": -1}, -1 - 19_999 * 10**9)
+
+
+# ---------------------------------------------------------------------------
+# Test points whose candidates b + j collide: each distinct candidate is
+# tried once, and the residue and records stay the reference's.
+
+def _div(d, coeffs, const):
+    return QAtom(Divides(d, LinearTerm.make(coeffs, const)))
+
+
+def _recording(fn, calls, arg):
+    """``fn``, recording the object that argument ``arg`` of each call
+    holds; a recursive call passes its caller's."""
+    def recorded(*args):
+        calls.append(args[arg])
+        return fn(*args)
+    return recorded
+
+
+def test_ground_candidates_are_decided_once_each(monkeypatch):
+    # exists y. 3 | y + 1 and y > 0 and y > 1 and y < 0: test points -1
+    # (v >= 0), 0 and 1 with delta 3 give 9 pairs but 5 candidates, 0 to 4,
+    # and no branch holds, so every candidate is tried.
+    matrix = QAnd(QAnd(_div(3, {"y": 1}, 1), _lt({"y": -1}, 0)),
+                  QAnd(_lt({"y": -1}, 1), _lt({"y": 1}, 0)))
+    values = []
+    monkeypatch.setattr(presburger, "_holds", _recording(presburger._holds, values, 1))
+    records, reference_records = [], []
+    assert cooper_eliminate("y", matrix, records) == QFalse()
+    assert reference_cooper_eliminate("y", matrix, reference_records) == QFalse()
+    assert records == reference_records
+    assert len(records[0].tests) == 3 and records[0].delta == 3
+    assert len({id(v) for v in values}) == 5
+
+
+def test_symbolic_candidates_are_placed_once_each(monkeypatch):
+    # exists y. y > x and y > x + 1 and 3 | y + 2 and y + x < 5: the test
+    # points x and x + 1 with delta 3 reach x + 1 to x + 4, four candidates
+    # for six pairs, and v >= 0 adds the test point -1 with three more.
+    matrix = QAnd(QAnd(_lt({"y": -1, "x": 1}, 0), _lt({"y": -1, "x": 1}, 1)),
+                  QAnd(_div(3, {"y": 1}, 2), _lt({"y": 1, "x": 1}, -5)))
+    placed = []
+    monkeypatch.setattr(presburger, "_place", _recording(presburger._place, placed, 3))
+    records, reference_records = [], []
+    got = cooper_eliminate("y", matrix, records)
+    want = reference_cooper_eliminate("y", matrix, reference_records)
+    assert (got, records) == (want, reference_records)
+    assert len(records[0].tests) == 3 and records[0].delta == 3
+    assert len({id(p) for p in placed}) == 3 + 4
+    for vx in range(12):
+        assert evaluate(got, {"x": vx}) == any(
+            y > vx + 1 and (y + 2) % 3 == 0 and y + vx < 5 for y in range(20))
+
+
+def test_colliding_candidates_match_reference_on_random_matrices(monkeypatch):
+    # Lower bounds y > t + k for a few k on one term t collide at every
+    # period, on their own and under the random matrices' atoms.
+    rng = random.Random("candidates/collide")
+    pairs = candidates = symbolic = 0
+    for _ in range(300):
+        t = {"x": rng.randint(-2, 2), "w": rng.randint(-1, 1)}
+        parts = [_lt({**t, "y": -1}, k) for k in rng.sample(range(-3, 4), rng.randint(2, 4))]
+        parts.append(_div(rng.randint(2, 6), {"y": 1, "x": rng.randint(0, 2)}, rng.randint(0, 5)))
+        parts.append(linearize(scaled_matrix(rng, ["x", "y", "w"], 1)))
+        rng.shuffle(parts)
+        matrix = parts[0]
+        for p in parts[1:]:
+            matrix = q_and(matrix, p) if rng.random() < 0.8 else q_or(matrix, p)
+        records, reference_records = [], []
+        got = cooper_eliminate("y", matrix, records)
+        want = reference_cooper_eliminate("y", matrix, reference_records)
+        assert (got, records) == (want, reference_records)
+        for r in records:
+            pairs += len(r.tests) * r.delta
+            candidates += len({(b.coeffs, b.const + j)
+                               for b in r.tests for j in range(1, r.delta + 1)})
+        symbolic += not isinstance(got, (QTrue, QFalse))
+    assert candidates < pairs * 0.8 and symbolic > 100
+
+
+# The 13th sentence of the benchmark's decide/tail corpus, the slowest
+# of its first 13: the reference takes about 15 s on it closed.
+TAIL_13 = (
+    "(exists x (forall y (exists w (forall u (imp (or (or (= (s (+ u (s w))) "
+    "(s (s (s (+ (s (s (s z))) (s (s x))))))) (= (s (s (s (+ (s u) (s (s (s z))))))) "
+    "(s (+ z (s (s (s z))))))) (not (= (s (+ (s (s z)) (s (s (s y))))) w))) "
+    "(or (= (s (s (s (+ (s (s z)) (s (s y)))))) (s (s (s u)))) "
+    "(= (s (s (+ u z))) (+ (s y) (s (s (s y)))))))))))"
+)
+
+
+def test_the_tail_sentence_matches_reference_and_decides(monkeypatch):
+    s = parse_construction(TAIL_13)
+    got, want = _both(linearize(s.body), monkeypatch)
+    assert got == want
+    assert decide_bt6_with_bound(s) == (FF_, None)
+    assert decide_bt6(Not(s)) is TT_
