@@ -47,7 +47,9 @@ def induction_instance(kind: SchemaKind, pred: Construction) -> Construction:
 
     With A(t) the predicate body at t, builds
     ``(A(0) and (forall x. A(x) imp A(s x))) imp forall x. A(x)``,
-    quantifying over the abstraction's own variable.
+    quantifying over the abstraction's own variable.  A(x) is the body
+    itself, which substituting x for x would rebuild unchanged, so an
+    instance takes two substitutions, for A(0) and A(s x).
     """
     if not is_abs(pred):
         raise NotAnAbstraction("induction needs a predicate abstraction")
@@ -56,14 +58,9 @@ def induction_instance(kind: SchemaKind, pred: Construction) -> Construction:
         raise LanguageError(f"predicate body exceeds language level {level.value}")
     v = pred.var
     body = abs_body(pred)
-
-    def at(t: Construction) -> Construction:
-        return substitute(body, v, t)
-
-    base = at(Zero())
-    step = Forall(v, Implies(at(Var(v)), at(Succ(Var(v)))))
-    conclusion = Forall(v, at(Var(v)))
-    return Implies(And(base, step), conclusion)
+    base = substitute(body, v, Zero())
+    step = Forall(v, Implies(body, substitute(body, v, Succ(Var(v)))))
+    return Implies(And(base, step), Forall(v, body))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +138,11 @@ _SYMBOL_OF = {ctor: sym for sym, ctor in _BINARY_OPS.items()}
 
 def translate(c: Construction, symbol_map: tuple[tuple[str, str], ...]) -> Construction:
     """Rebuild a formula mapping each nonlogical constant through the
-    symbol map; arities must agree."""
+    symbol map; arities must agree.  A map that sends every symbol to
+    itself, the empty one included, returns the formula unrebuilt."""
     mapping = dict(symbol_map)
+    if all(mapping.get(sym, sym) == sym for sym in ("0", "S", "+", "*")):
+        return c
 
     def image(sym: str, table) -> Callable:
         target = mapping.get(sym, sym)
@@ -329,23 +329,33 @@ def _model_check(
 ) -> Optional[Environment]:
     """Witness environment falsifying the stripped formula, or None.
 
-    Each sample draws ``rng._randbelow(bound + 1)``, which is
-    ``rng.randint(0, bound)`` without its argument checks, for each
-    stripped variable in order, so the draws, the ``rng`` state afterwards
-    and the first failing sample are those of evaluating every sample.  The
-    matrix is compiled once, the oracle runs once per distinct tuple of
-    values (a tuple seen to pass is not evaluated again), and an
-    :class:`Environment` is built only for the witness.
+    Each sample draws, for each stripped variable in order, what
+    ``rng.randint(0, bound)`` draws: ``rng.getrandbits(k)`` with
+    ``k = (bound + 1).bit_length()``, again while the result exceeds
+    ``bound``.  So the draws, the ``rng`` state afterwards and the first
+    failing sample are those of evaluating every sample.  The matrix is
+    compiled once and the oracle runs once per distinct sample, keyed by
+    its draws read as the digits of an int in base ``bound + 1`` (a sample
+    seen to pass is not evaluated again).  One scope dict is written in
+    place for every sample, and an :class:`Environment` is built only for
+    the witness.
     """
     names, matrix = _strip_foralls(formula)
     holds = compile_oracle(matrix, bound)
-    passed, width = set(), bound + 1
+    passed, width, scope = set(), bound + 1, dict.fromkeys(names, 0)
+    k, getrandbits = width.bit_length(), rng.getrandbits
     for _ in range(samples if names else 1):
-        values = tuple([rng._randbelow(width) for _ in names])
-        if values not in passed:
-            if not holds(dict(zip(names, values))):
-                return Environment(dict(zip(names, values)))
-            passed.add(values)
+        key = 0
+        for v in names:
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            scope[v] = r
+            key = key * width + r
+        if key not in passed:
+            if not holds(scope):
+                return Environment(scope)
+            passed.add(key)
     return None
 
 

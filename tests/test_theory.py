@@ -20,6 +20,8 @@ from biforge.syntax import (
     Abs, And, Eq, Forall, Implies, Plus, Succ, TT, Times, Var, Zero,
     free_vars, is_closed,
 )
+from biforge.recognizers import is_fo_abs
+from biforge.syntax import Exists, Not, Or, abs_body, quote_unary, substitute
 
 x = Var("x")
 
@@ -516,3 +518,158 @@ def test_bt7_to_bt8_decides_and_samples_each_distinct_case_once(monkeypatch):
     check_morphism(m)
     assert (len(decisions), len(oracle_calls), len(instances)) == (8, 692, 8)
     assert len(set(decisions)) == 8
+
+
+# ---------------------------------------------------------------------------
+# A model check draws what ``rng.randint(0, bound)`` draws, through the
+# public ``getrandbits`` only.
+
+def _sum_of(names):
+    """z plus each distinct name, in order."""
+    term = Zero()
+    for v in dict.fromkeys(names):
+        term = Plus(term, Var(v))
+    return term
+
+
+@pytest.mark.parametrize("bound", [0, 1, 31, 32, 63, 64, 1000])
+def test_model_check_draws_what_a_randint_loop_draws(bound):
+    outcomes = set()
+    for names in ((), ("x",), ("x", "y"), ("x", "y", "x"), ("y", "x", "w")):
+        t = _sum_of(names)
+        matrices = (
+            Eq(Plus(t, Zero()), t),  # true
+            Not(Eq(t, quote_unary(bound // 2))),  # false where the sum is bound // 2
+            Not(Eq(Times(t, t), t)),  # false where the sum is 0 or 1
+        )
+        for matrix in matrices:
+            formula = matrix
+            for v in reversed(names):
+                formula = Forall(v, formula)
+            for samples in (1, 2, 17, 200):
+                for seed in (0, 7):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    got = _model_check(formula, samples, bound, rng)
+                    expected = reference_model_check(formula, samples, bound, ref)
+                    assert repr(got) == repr(expected)
+                    assert rng.getstate() == ref.getstate()
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+class NoPrivateDraws(random.Random):
+    def _randbelow(self, n):
+        raise AssertionError("the private _randbelow was called")
+
+
+def test_checks_draw_through_the_public_api_only(monkeypatch):
+    with pytest.raises(AssertionError):
+        NoPrivateDraws(0).randint(0, 3)
+    formula = parse_construction("(forall x (forall y (= (* x y) (+ y (s z)))))")
+    assert repr(_model_check(formula, 50, 7, NoPrivateDraws(5))) == repr(
+        _model_check(formula, 50, 7, random.Random(5)))
+    cases = [(check_morphism, (morphism(name), 3)) for name in ("BT4-to-BT7", "BT7-to-BT8")]
+    cases += [(check_axioms, (theory(name), 50, 16, 3)) for name in ("BT3", "BT4", "BT7")]
+    expected = [check(*args).render() for check, args in cases]
+    monkeypatch.setattr(T, "random", types.SimpleNamespace(Random=NoPrivateDraws))
+    assert [check(*args).render() for check, args in cases] == expected
+
+
+# ---------------------------------------------------------------------------
+# An instance takes two substitutions: A(x) is the body itself.
+
+def reference_induction_instance(pred):
+    """The four-substitution build of the schema instance at ``pred``."""
+    v, body = pred.var, abs_body(pred)
+
+    def at(t):
+        return substitute(body, v, t)
+
+    step = Forall(v, Implies(at(Var(v)), at(Succ(Var(v)))))
+    return Implies(And(at(Zero()), step), Forall(v, at(Var(v))))
+
+
+y = Var("y")
+# Predicates with an inner binder, on the predicate's own variable and on
+# another name.
+_BINDER_PREDICATES = [
+    Abs("x", Exists("x", Eq(Succ(x), Succ(Zero())))),
+    Abs("x", And(Eq(x, x), Forall("x", Not(Eq(Succ(x), Zero()))))),
+    Abs("x", Forall("y", Or(Eq(y, x), Not(Eq(y, x))))),
+    Abs("x", Exists("y", Eq(Plus(y, x), Succ(x)))),
+    Abs("y", Exists("x", Eq(Times(x, y), x))),
+    Abs("y", And(Exists("y", Eq(Times(y, y), y)), Eq(Plus(y, Zero()), y))),
+]
+
+
+@pytest.mark.parametrize("kind", list(SchemaKind))
+def test_induction_instance_matches_the_four_substitution_build(kind):
+    corpus = T._schema_predicates(kind)
+    extra = [p for p in _BINDER_PREDICATES if is_fo_abs(T.SCHEMA_LEVEL[kind], p)]
+    assert len(extra) >= 2
+    for pred in corpus + extra:
+        instance = induction_instance(kind, pred)
+        expected = reference_induction_instance(pred)
+        assert instance == expected
+        assert instance.rhs.body is abs_body(pred)
+        assert instance.lhs.rhs.body.lhs is abs_body(pred)
+
+
+# ---------------------------------------------------------------------------
+# translate returns its input under a map that sends every symbol to
+# itself, and otherwise equals a full rebuild.
+
+def reference_translate(c, symbol_map):
+    """Rebuild every node, mapping each constant through the map."""
+    mapping = dict(symbol_map)
+    ctors = {"0": (Zero, 0), "S": (Succ, 1), "+": (Plus, 2), "*": (Times, 2)}
+
+    def image(sym):
+        target = mapping.get(sym, sym)
+        if target not in ctors or ctors[target][1] != ctors[sym][1]:
+            raise LanguageError(f"{sym!r} maps to {target!r}, which has the wrong arity")
+        return ctors[target][0]
+
+    def walk(node):
+        ctor = type(node)
+        if ctor is Zero:
+            return image("0")()
+        if ctor is Succ:
+            return image("S")(walk(node.arg))
+        if ctor is Not:
+            return Not(walk(node.arg))
+        if ctor in (Plus, Times):
+            return image("+" if ctor is Plus else "*")(walk(node.lhs), walk(node.rhs))
+        if hasattr(node, "lhs"):
+            return ctor(walk(node.lhs), walk(node.rhs))
+        if hasattr(node, "body"):
+            return ctor(node.var, walk(node.body))
+        return node
+
+    return walk(c)
+
+
+def _translation_corpus():
+    formulas = list(AXIOMS.values()) + [parse_construction(f) for f in _POOL]
+    formulas += [induction_instance(SchemaKind.INDUCTION_L3, p)
+                 for p in T._schema_predicates(SchemaKind.INDUCTION_L3)]
+    formulas += [parse_construction("(= (* #b1011 x) (+ #b110 (s y)))"),
+                 Abs("x", Eq(Times(x, x), Plus(x, Zero())))]
+    return formulas
+
+
+def test_translate_skips_identity_maps_and_otherwise_rebuilds():
+    swap = (("+", "*"), ("*", "+"))
+    for c in _translation_corpus():
+        for identity in (T._IDENTITY_L3, (), (("S", "S"),), (("+", "+"), ("0", "0"))):
+            assert translate(c, identity) is c
+        image = translate(c, swap)
+        assert image == reference_translate(c, swap)
+    f = parse_construction("(forall x (= (* x (s (s z))) (+ x x)))")
+    assert translate(f, swap) is not f
+    for bad in ((("+", "S"),), (("0", "S"),), (("0", "0"), ("S", "+")), (("*", "0"),),
+                (("S", "S"), ("+", "q"))):
+        with pytest.raises(LanguageError):
+            translate(f, bad)
+        with pytest.raises(LanguageError):
+            reference_translate(f, bad)
