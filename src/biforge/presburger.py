@@ -154,32 +154,36 @@ _FALSE = QFalse()
 
 
 def q_and(l: QFormula, r: QFormula) -> QFormula:
-    if isinstance(l, QFalse) or isinstance(r, QFalse):
+    if type(l) is QFalse or type(r) is QFalse:
         return _FALSE
-    if isinstance(l, QTrue):
+    if type(l) is QTrue:
         return r
-    if isinstance(r, QTrue):
+    if type(r) is QTrue:
         return l
     return QAnd(l, r)
 
 
 def q_or(l: QFormula, r: QFormula) -> QFormula:
-    if isinstance(l, QTrue) or isinstance(r, QTrue):
+    if type(l) is QTrue or type(r) is QTrue:
         return _TRUE
-    if isinstance(l, QFalse):
+    if type(l) is QFalse:
         return r
-    if isinstance(r, QFalse):
+    if type(r) is QFalse:
         return l
     return QOr(l, r)
 
 
 def _gather(cls, f: QFormula, seen: set, out: list) -> None:
-    if isinstance(f, cls):
+    """The parts of ``f`` under nested ``cls`` nodes, each part not in
+    ``seen`` added to it and to ``out``; a part is hashed once."""
+    if type(f) is cls:
         _gather(cls, f.lhs, seen, out)
         _gather(cls, f.rhs, seen, out)
-    elif f not in seen:
+    else:
+        n = len(seen)
         seen.add(f)
-        out.append(f)
+        if len(seen) > n:
+            out.append(f)
 
 
 def q_or_all(parts: list[QFormula]) -> QFormula:
@@ -189,8 +193,8 @@ def q_or_all(parts: list[QFormula]) -> QFormula:
     flat: list[QFormula] = []
     for p in parts:
         _gather(QOr, p, seen, flat)
-    kept = [p for p in flat if not isinstance(p, QFalse)]
-    if any(isinstance(p, QTrue) for p in kept):
+    kept = [p for p in flat if type(p) is not QFalse]
+    if any(type(p) is QTrue for p in kept):
         return _TRUE
     if not kept:
         return _FALSE
@@ -236,25 +240,28 @@ def _mk_div(d: int, t: LinearTerm) -> QFormula:
 def negate(f: QFormula) -> QFormula:
     """Negation-normal-form complement; negated divisibility expands into
     a disjunction over the nonzero remainders."""
-    match f:
-        case QTrue():
-            return _FALSE
-        case QFalse():
-            return _TRUE
-        case QAtom(EqZero(t)):
-            return q_or(_mk_lt(t), _mk_lt(-t))
-        case QAtom(LtZero(t)):
+    tf = type(f)
+    if tf is QAtom:
+        a = f.atom
+        if type(a) is LtZero:
+            t = a.term
             return _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const))
-        case QAtom(Divides(d, t)):
-            return q_or_all([_mk_div(d, t.shift(r)) for r in range(1, d)])
-        case QAnd(l, r):
-            return q_or(negate(l), negate(r))
-        case QOr(l, r):
-            return q_and(negate(l), negate(r))
-        case QForall(v, b):
-            return QExists(v, negate(b))
-        case QExists(v, b):
-            return QForall(v, negate(b))
+        if type(a) is EqZero:
+            return q_or(_mk_lt(a.term), _mk_lt(-a.term))
+        if type(a) is Divides:
+            return q_or_all([_mk_div(a.d, a.term.shift(r)) for r in range(1, a.d)])
+    if tf is QOr:
+        return q_and(negate(f.lhs), negate(f.rhs))
+    if tf is QAnd:
+        return q_or(negate(f.lhs), negate(f.rhs))
+    if tf is QTrue:
+        return _FALSE
+    if tf is QFalse:
+        return _TRUE
+    if tf is QForall:
+        return QExists(f.var, negate(f.body))
+    if tf is QExists:
+        return QForall(f.var, negate(f.body))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -284,26 +291,22 @@ def _linearize(c: Construction, neg: bool, env: Optional[Environment],
     """``c``, or its negation when ``neg``, over linear atoms.  Given an
     ``env``, each variable not in ``bound``, the names bound above ``c``,
     is replaced by its value there."""
-    match c:
-        case TT():
-            return _FALSE if neg else _TRUE
-        case FF():
-            return _TRUE if neg else _FALSE
-        case Eq(l, r):
-            t = _difference(l, r, env, bound)
-            return negate(_mk_eq(t)) if neg else _mk_eq(t)
-        case Not():
-            while type(c) is Not:
-                c, neg = c.arg, not neg
-            return _linearize(c, neg, env, bound)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            # negation swaps ∧ and ∨, and l ⇒ r is ¬l ∨ r
-            join = q_and if (type(c) is And) != neg else q_or
-            return join(_linearize(l, neg != (type(c) is Implies), env, bound),
-                        _linearize(r, neg, env, bound))
-        case Forall(v, b) | Exists(v, b):
-            body = _linearize(b, neg, env, (*bound, v))
-            return QForall(v, body) if (type(c) is Forall) != neg else QExists(v, body)
+    while type(c) is Not:
+        c, neg = c.arg, not neg
+    tc = type(c)
+    if tc is Eq:
+        t = _mk_eq(_difference(c.lhs, c.rhs, env, bound))
+        return negate(t) if neg else t
+    if tc is And or tc is Or or tc is Implies:
+        # negation swaps ∧ and ∨, and l ⇒ r is ¬l ∨ r
+        join = q_and if (tc is And) != neg else q_or
+        return join(_linearize(c.lhs, neg != (tc is Implies), env, bound),
+                    _linearize(c.rhs, neg, env, bound))
+    if tc is Forall or tc is Exists:
+        body = _linearize(c.body, neg, env, (*bound, c.var))
+        return QForall(c.var, body) if (tc is Forall) != neg else QExists(c.var, body)
+    if tc is TT or tc is FF:
+        return _TRUE if (tc is TT) != neg else _FALSE
     raise SortError(f"not a formula: {c!r}")
 
 
@@ -344,18 +347,20 @@ def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFor
     index there; an equality on ``v`` is lowered to the two orderings
     ``t - 1 < 0`` and ``-t - 1 < 0`` first.  Any other leaf is left as
     it is and also added to ``loose``."""
-    match f:
-        case QAnd(l, r) | QOr(l, r):
-            return type(f) is QAnd, _compile(l, v, table, loose), _compile(r, v, table, loose)
-        case QAtom(EqZero(t)) if t.coeff(v):
-            lo = _mk_lt(LinearTerm(t.coeffs, t.const - 1)).atom
-            hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
-            return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
-        case QAtom(a) if a.term.coeff(v):
+    tf = type(f)
+    if tf is QAnd or tf is QOr:
+        return tf is QAnd, _compile(f.lhs, v, table, loose), _compile(f.rhs, v, table, loose)
+    if tf is QAtom and f.atom.term.coeff(v):
+        a = f.atom
+        if type(a) is not EqZero:
             return table.setdefault(a, len(table))
-        case QAtom() | QTrue() | QFalse():
-            loose.append(f)
-            return f
+        t = a.term
+        lo = _mk_lt(LinearTerm(t.coeffs, t.const - 1)).atom
+        hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
+        return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
+    if tf is QAtom or tf is QTrue or tf is QFalse:
+        loose.append(f)
+        return f
     raise AssertionError("quantifier inside a matrix")
 
 
@@ -386,8 +391,8 @@ def _place(program, moved: list, x: int, placed: list) -> QFormula:
     is_and, l, r = program
     l = _place(l, moved, x, placed)
     if is_and:
-        return l if isinstance(l, QFalse) else q_and(l, _place(r, moved, x, placed))
-    return l if isinstance(l, QTrue) else q_or(l, _place(r, moved, x, placed))
+        return l if type(l) is QFalse else q_and(l, _place(r, moved, x, placed))
+    return l if type(l) is QTrue else q_or(l, _place(r, moved, x, placed))
 
 
 def _entry(a: LinearAtom, v: str, m: int) -> tuple[int, int, LinearTerm]:
@@ -425,7 +430,7 @@ def cooper_eliminate(
     The residue is ``QTrue`` as soon as one branch folds to it, and the
     ``Elimination`` record lists every test point either way.
     """
-    if isinstance(matrix, QOr):
+    if type(matrix) is QOr:
         flat: list[QFormula] = []
         _gather(QOr, matrix, set(), flat)
         return q_or_all([cooper_eliminate(v, part, _record) for part in flat])
@@ -465,7 +470,7 @@ def cooper_eliminate(
             moved.append((d, c, cs, k, gcd(*(a for _, a in cs))))
         for x in xs:
             branch = _place(program, moved, x, [None] * len(moved))
-            if isinstance(branch, QTrue):
+            if type(branch) is QTrue:
                 return _TRUE
             branches.append(branch)
     return q_or_all(branches)
@@ -476,37 +481,36 @@ def eliminate_quantifiers(
     _record: Optional[list[Elimination]] = None,
 ) -> QFormula:
     """Innermost-first elimination; universals go through their duals."""
-    match f:
-        case QExists(v, b):
-            return cooper_eliminate(v, eliminate_quantifiers(b, _record), _record)
-        case QForall(v, b):
-            inner = eliminate_quantifiers(b, _record)
-            return negate(cooper_eliminate(v, negate(inner), _record))
-        case QAnd(l, r):
-            return q_and(eliminate_quantifiers(l, _record), eliminate_quantifiers(r, _record))
-        case QOr(l, r):
-            return q_or(eliminate_quantifiers(l, _record), eliminate_quantifiers(r, _record))
-        case _:
-            return f
+    tf = type(f)
+    if tf is QExists:
+        return cooper_eliminate(f.var, eliminate_quantifiers(f.body, _record), _record)
+    if tf is QForall:
+        inner = eliminate_quantifiers(f.body, _record)
+        return negate(cooper_eliminate(f.var, negate(inner), _record))
+    if tf is QAnd:
+        return q_and(eliminate_quantifiers(f.lhs, _record), eliminate_quantifiers(f.rhs, _record))
+    if tf is QOr:
+        return q_or(eliminate_quantifiers(f.lhs, _record), eliminate_quantifiers(f.rhs, _record))
+    return f
 
 
 def evaluate(f: QFormula, env: Mapping[str, int]) -> bool:
     """Truth of a quantifier-free linear formula under an assignment."""
-    match f:
-        case QTrue():
-            return True
-        case QFalse():
-            return False
-        case QAtom(EqZero(t)):
-            return t.value(env) == 0
-        case QAtom(LtZero(t)):
-            return t.value(env) < 0
-        case QAtom(Divides(d, t)):
-            return t.value(env) % d == 0
-        case QAnd(l, r):
-            return evaluate(l, env) and evaluate(r, env)
-        case QOr(l, r):
-            return evaluate(l, env) or evaluate(r, env)
+    tf = type(f)
+    if tf is QAtom:
+        a = f.atom
+        if type(a) is LtZero:
+            return a.term.value(env) < 0
+        if type(a) is EqZero:
+            return a.term.value(env) == 0
+        if type(a) is Divides:
+            return a.term.value(env) % a.d == 0
+    if tf is QOr:
+        return evaluate(f.lhs, env) or evaluate(f.rhs, env)
+    if tf is QAnd:
+        return evaluate(f.lhs, env) and evaluate(f.rhs, env)
+    if tf is QTrue or tf is QFalse:
+        return tf is QTrue
     raise ValueError("formula still contains quantifiers")
 
 

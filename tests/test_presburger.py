@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import lcm
 from typing import Iterator
@@ -12,15 +13,15 @@ from biforge.presburger import (
     QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _decide,
     _entry, _gather, _mk_div, _mk_lt, bounded_oracle,
     cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
-    eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or, q_or_all,
-    sufficiency_bound,
+    _linearize, eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or,
+    q_or_all, sufficiency_bound,
 )
 from biforge.recognizers import LangLevel
 from biforge.semantics import Environment, eval_bool
 from biforge.sexpr import parse_construction
 from biforge.syntax import (
-    And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var, Zero,
-    _fold, free_vars, quote_unary, substitute,
+    FF, TT, And, Eq, Exists, Forall, Implies, Not, Or, Plus, Succ, Times, Var,
+    Zero, _fold, free_vars, quote_unary, substitute,
 )
 from .conftest import random_matrix, random_sentence
 
@@ -860,3 +861,63 @@ def test_the_tail_sentence_matches_reference_and_decides(monkeypatch):
     assert got == want
     assert decide_bt6_with_bound(s) == (FF_, None)
     assert decide_bt6(Not(s)) is TT_
+
+
+# ---------------------------------------------------------------------------
+# The walkers ``_both`` runs on both sides: ``negate``, ``_linearize`` and
+# ``eliminate_quantifiers`` serve the kernel and the reference alike, so a
+# fault in them shows only against digests pinned from an earlier build.
+
+def _walk_digest(sentences):
+    """sha256 over the repr of each sentence's verdict, sufficiency bound
+    and elimination records, the residue of its body (its outer
+    quantifier stripped) and the negation of its linear form."""
+    h = hashlib.sha256()
+    for s in sentences:
+        records = []
+        verdict = _decide(s, None, LangLevel.L2, records)
+        residue = eliminate_quantifiers(linearize(s.body))
+        h.update(repr((verdict.value, sufficiency_bound(records), records, residue,
+                       negate(linearize(s)))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, q, depth, count, start, digest", [
+    ("decide/q3", 3, 2, 100, 0,
+     "7b35eb01ecd9c9e81460852c6d3f76721239714554b2900ba06919b2b47b2c65"),
+    ("decide/q3", 3, 2, 100, 50,
+     "56d15be9b86f773e8e1c965879b1acc3125b4108640e28369e3c2ddfbecf3004"),
+    ("decide/tail", 4, 3, 12, 0,
+     "1cc93840b03be3c5a54f59f5280cc46137aa1d4b90078f0373c5036a71339c7a"),
+    ("golden/q2", 2, 3, 50, 0,
+     "08295e692f2e0323f8831fa8e7f59bb676b9d054803ede52f9974c175e1a561e"),
+])
+def test_walkers_match_their_pinned_digests(seed, q, depth, count, start, digest):
+    assert _walk_digest(prenex_corpus(seed, q, depth, count)[start:start + 50]) == digest
+
+
+_QUANTIFIED_MATRIX = QAnd(_lt({"y": 1}, 0), QExists("x", QTrue()))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: negate(x), TypeError, "not a formula: Var(name='x')"),
+    (lambda: negate(QAtom(x)), TypeError, "not a formula: QAtom(atom=Var(name='x'))"),
+    (lambda: evaluate(QExists("x", QTrue()), {}), ValueError, "formula still contains quantifiers"),
+    (lambda: evaluate(QAtom(x), {}), ValueError, "formula still contains quantifiers"),
+    (lambda: linearize(Succ(x)), SortError, "linearize needs a formula, not a term"),
+    (lambda: _linearize(x, False, None, ()), SortError, "not a formula: Var(name='x')"),
+    (lambda: cooper_eliminate("y", _QUANTIFIED_MATRIX), AssertionError, "quantifier inside a matrix"),
+])
+def test_walkers_raise_on_what_they_do_not_walk(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("cls", [
+    LinearTerm, EqZero, LtZero, Divides, QTrue, QFalse, QAtom, QAnd, QOr, QForall, QExists,
+    Elimination, TT, FF, Eq, Not, And, Or, Implies, Forall, Exists,
+])
+def test_the_walked_record_classes_have_no_subclasses(cls):
+    # The walkers dispatch on the exact type, so a subclass would miss.
+    assert cls.__subclasses__() == []
