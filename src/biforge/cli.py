@@ -1,5 +1,13 @@
 """Command-line front end.
 
+The plain form of a command line, the command and then its positionals,
+flags and ``--option value`` pairs by their full names in any order, is
+read straight from the ``_COMMANDS`` table.  Every other form (``-h`` or
+``--help``, ``--out FILE`` before the command, ``--option=value``, an
+abbreviated option, ``--``, a value that starts with ``-``) and every
+usage error goes to an argparse parser built from the same table, which
+is imported only then; help, messages and exit statuses are argparse's.
+
 Exit codes: 0 success; 1 a check report contains failures or a decision
 misses ``--expect``; 2 usage, parse or sort error, a bad bound or sample
 count, an unreadable ``--graph`` or unwritable ``--out`` file, or input
@@ -10,11 +18,11 @@ to disk unless ``--out`` is given.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .binum import (
     bplus, bplus_rewrite, btimes, from_construction, normalize,
@@ -48,72 +56,6 @@ def _default_bound() -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"BIFORGE_BOUND must be a natural, got {text!r}") from None
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biforge",
-        description="evaluate, decide, recognize and transform arithmetic syntax",
-    )
-    parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a term or formula")
-    p.add_argument("expr")
-    p.add_argument("--env", default="", help="comma-separated name=value pairs")
-    p.add_argument("--bound", type=int, default=None,
-                   help="evaluate quantifiers over 0..N")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("decide", help="decide a sentence")
-    p.add_argument("expr")
-    p.add_argument("--theory", choices=("bt5", "bt6"), default="bt6")
-    p.add_argument("--env", default="")
-    p.add_argument("--expect", choices=("tt", "ff"), default=None)
-    p.set_defaults(handler=_cmd_decide)
-
-    p = sub.add_parser("recognize", help="check language membership")
-    p.add_argument("expr")
-    p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
-    p.add_argument("--abs", action="store_true",
-                   help="require a predicate abstraction")
-    p.set_defaults(handler=_cmd_recognize)
-
-    p = sub.add_parser("bplus", help="add two binary numerals")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--rewrite", action="store_true",
-                   help="use the conditional rewrite engine")
-    p.set_defaults(handler=_cmd_bplus)
-
-    p = sub.add_parser("btimes", help="multiply two binary numerals")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_btimes)
-
-    p = sub.add_parser("induct", help="instantiate the induction schema")
-    p.add_argument("pred", help="a (lambda v F) predicate")
-    p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
-    p.set_defaults(handler=_cmd_induct)
-
-    p = sub.add_parser("check-theory", help="validate a theory's axioms")
-    p.add_argument("name")
-    p.add_argument("--graph", metavar="FILE", help="load the theory graph from FILE")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(handler=_cmd_check_theory)
-
-    p = sub.add_parser("check-morphism", help="discharge a morphism's obligations")
-    p.add_argument("name")
-    p.add_argument("--graph", metavar="FILE")
-    p.set_defaults(handler=_cmd_check_morphism)
-
-    p = sub.add_parser("normalize", help="canonicalize a binary numeral")
-    p.add_argument("n")
-    p.set_defaults(handler=_cmd_normalize)
-
-    return parser
 
 
 def _cmd_eval(args) -> tuple[str, int]:
@@ -200,9 +142,107 @@ def _cmd_normalize(args) -> tuple[str, int]:
     return binnum_literal(normalize(parse_binnum(args.n))), EXIT_OK
 
 
+_LEVEL = {"type": int, "choices": (1, 2, 3), "default": 2}
+
+# Per command: handler, help, positionals and options, each argument with
+# the keywords argparse's add_argument takes.  Option names are single
+# words, so an option's field is its name without the dashes.  The entry
+# under None holds the description and the options before the command.
+_COMMANDS = {
+    None: (None, "evaluate, decide, recognize and transform arithmetic syntax", {}, {
+        "--out": {"metavar": "FILE", "help": "also write the output to FILE"},
+    }),
+    "eval": (_cmd_eval, "evaluate a term or formula", {"expr": {}}, {
+        "--env": {"default": "", "help": "comma-separated name=value pairs"},
+        "--bound": {"type": int, "help": "evaluate quantifiers over 0..N"},
+    }),
+    "decide": (_cmd_decide, "decide a sentence", {"expr": {}}, {
+        "--theory": {"choices": ("bt5", "bt6"), "default": "bt6"},
+        "--env": {"default": ""},
+        "--expect": {"choices": ("tt", "ff")},
+    }),
+    "recognize": (_cmd_recognize, "check language membership", {"expr": {}}, {
+        "--level": _LEVEL,
+        "--abs": {"action": "store_true", "default": False,
+                  "help": "require a predicate abstraction"},
+    }),
+    "bplus": (_cmd_bplus, "add two binary numerals", {"a": {}, "b": {}}, {
+        "--rewrite": {"action": "store_true", "default": False,
+                      "help": "use the conditional rewrite engine"},
+    }),
+    "btimes": (_cmd_btimes, "multiply two binary numerals", {"a": {}, "b": {}}, {}),
+    "induct": (_cmd_induct, "instantiate the induction schema",
+               {"pred": {"help": "a (lambda v F) predicate"}}, {"--level": _LEVEL}),
+    "check-theory": (_cmd_check_theory, "validate a theory's axioms", {"name": {}}, {
+        "--graph": {"metavar": "FILE", "help": "load the theory graph from FILE"},
+        "--samples": {"type": int, "default": 200},
+        "--bound": {"type": int},
+    }),
+    "check-morphism": (_cmd_check_morphism, "discharge a morphism's obligations",
+                       {"name": {}}, {"--graph": {"metavar": "FILE"}}),
+    "normalize": (_cmd_normalize, "canonicalize a binary numeral", {"n": {}}, {}),
+}
+
+
+def _read(argv: list[str]) -> dict | None:
+    """The fields argparse would set for a plain command line; ``None``,
+    printing nothing, for any other form and for every usage error."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    handler, _, positionals, options = entry
+    fields = {"out": None, "command": argv[0], "handler": handler}
+    for name, kw in options.items():
+        fields[name[2:]] = kw.get("default")
+    given = []
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            given.append(word)
+            continue
+        kw = options.get(word)
+        if kw is None:
+            return None
+        if "action" in kw:
+            fields[word[2:]] = True
+            continue
+        value = next(words, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        fields[word[2:]] = value
+    if len(given) != len(positionals):
+        return None
+    fields.update(zip(positionals, given))
+    return fields
+
+
+@functools.cache
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, built on first use: it reads
+    what ``_read`` leaves and prints help and usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="biforge", description=_COMMANDS[None][1])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, summary, positionals, options) in _COMMANDS.items():
+        p = parser if command is None else sub.add_parser(command, help=summary)
+        for name, kw in (positionals | options).items():
+            p.add_argument(name, **kw)
+        if handler is not None:
+            p.set_defaults(handler=handler)
+    return parser
+
+
 def run(argv: list[str]) -> int:
     """Execute one command line; prints the result, returns the exit status."""
-    args = _build_parser().parse_args(argv)
+    fields = _read(argv)
+    args = SimpleNamespace(**fields) if fields is not None else _build_parser().parse_args(argv)
     try:
         output, status = args.handler(args)
     except (ParseError, SortError, NotBnum, KeyError, ValueError, RecursionError) as err:

@@ -350,14 +350,18 @@ def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFor
     tf = type(f)
     if tf is QAnd or tf is QOr:
         return tf is QAnd, _compile(f.lhs, v, table, loose), _compile(f.rhs, v, table, loose)
-    if tf is QAtom and f.atom.term.coeff(v):
+    if tf is QAtom:
         a = f.atom
-        if type(a) is not EqZero:
-            return table.setdefault(a, len(table))
-        t = a.term
-        lo = _mk_lt(LinearTerm(t.coeffs, t.const - 1)).atom
-        hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
-        return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
+        try:
+            t = a.term
+        except AttributeError:
+            raise TypeError(f"not a formula: {f!r}") from None
+        if t.coeff(v):
+            if type(a) is not EqZero:
+                return table.setdefault(a, len(table))
+            lo = _mk_lt(LinearTerm(t.coeffs, t.const - 1)).atom
+            hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
+            return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
     if tf is QAtom or tf is QTrue or tf is QFalse:
         loose.append(f)
         return f

@@ -1,13 +1,21 @@
+import argparse
+import functools
 import io
 import os
+import random
 import subprocess
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from biforge.cli import run
+import biforge.cli as cli
+from biforge.cli import (
+    _COMMANDS, _build_parser, _cmd_bplus, _cmd_btimes, _cmd_check_morphism,
+    _cmd_check_theory, _cmd_decide, _cmd_eval, _cmd_induct, _cmd_normalize,
+    _cmd_recognize, _read, run,
+)
 
 
 def test_decide_contract(capsys):
@@ -460,3 +468,231 @@ def test_decide_reads_a_5000_deep_successor_chain(capsys):
 def test_a_digit_that_int_does_not_read_is_a_parse_error(capsys, argv, message):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# The command line as a hand-built argparse tree, kept as the reference
+# that the table-built parser and the plain-form reader are checked against.
+@functools.cache
+def reference_build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="biforge",
+        description="evaluate, decide, recognize and transform arithmetic syntax",
+    )
+    parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval", help="evaluate a term or formula")
+    p.add_argument("expr")
+    p.add_argument("--env", default="", help="comma-separated name=value pairs")
+    p.add_argument("--bound", type=int, default=None,
+                   help="evaluate quantifiers over 0..N")
+    p.set_defaults(handler=_cmd_eval)
+
+    p = sub.add_parser("decide", help="decide a sentence")
+    p.add_argument("expr")
+    p.add_argument("--theory", choices=("bt5", "bt6"), default="bt6")
+    p.add_argument("--env", default="")
+    p.add_argument("--expect", choices=("tt", "ff"), default=None)
+    p.set_defaults(handler=_cmd_decide)
+
+    p = sub.add_parser("recognize", help="check language membership")
+    p.add_argument("expr")
+    p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    p.add_argument("--abs", action="store_true",
+                   help="require a predicate abstraction")
+    p.set_defaults(handler=_cmd_recognize)
+
+    p = sub.add_parser("bplus", help="add two binary numerals")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--rewrite", action="store_true",
+                   help="use the conditional rewrite engine")
+    p.set_defaults(handler=_cmd_bplus)
+
+    p = sub.add_parser("btimes", help="multiply two binary numerals")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.set_defaults(handler=_cmd_btimes)
+
+    p = sub.add_parser("induct", help="instantiate the induction schema")
+    p.add_argument("pred", help="a (lambda v F) predicate")
+    p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    p.set_defaults(handler=_cmd_induct)
+
+    p = sub.add_parser("check-theory", help="validate a theory's axioms")
+    p.add_argument("name")
+    p.add_argument("--graph", metavar="FILE", help="load the theory graph from FILE")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--bound", type=int, default=None)
+    p.set_defaults(handler=_cmd_check_theory)
+
+    p = sub.add_parser("check-morphism", help="discharge a morphism's obligations")
+    p.add_argument("name")
+    p.add_argument("--graph", metavar="FILE")
+    p.set_defaults(handler=_cmd_check_morphism)
+
+    p = sub.add_parser("normalize", help="canonicalize a binary numeral")
+    p.add_argument("n")
+    p.set_defaults(handler=_cmd_normalize)
+
+    return parser
+
+
+def _src_env():
+    import biforge
+
+    src = str(Path(biforge.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _capture(call, *args):
+    """``call(*args)`` with its output caught: its result, or the status
+    of the ``SystemExit`` it raised, then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call(*args)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _table_fields(argv):
+    fields = _read(argv)
+    return fields if fields is not None else vars(_build_parser().parse_args(argv))
+
+
+def _reference_fields(argv):
+    return vars(reference_build_parser().parse_args(argv))
+
+
+COMMANDS = [c for c in _COMMANDS if c is not None]
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_the_table_built_parser_prints_the_reference_help(command):
+    argv = [command, "-h"] if command else ["-h"]
+    got = _capture(_table_fields, argv)
+    assert got == _capture(_reference_fields, argv)
+    assert got[0] == ("exit", 0) and got[1].startswith("usage: biforge") and got[2] == ""
+    if command is None:
+        assert _build_parser().format_help() == reference_build_parser().format_help()
+
+
+_OPTIONS = sorted({name for entry in _COMMANDS.values() for name in entry[3]})
+_WORDS = ["1", "#b101", "(= z z)", "(+ x x)", "", "x y", "-1", "-", "--", "-h", "--help",
+          "-x", "bt5", "tt", "2", "0", "x=1", "\u0663", " 7", "1_0", "-x y", "--out"]
+
+
+def _value(rng, kw):
+    """A value for an option: mostly one it takes, else any word."""
+    if rng.random() < 0.25:
+        return rng.choice(_WORDS)
+    if "choices" in kw:
+        return str(rng.choice(kw["choices"]))
+    if "type" in kw:
+        return str(rng.randint(-3, 300))
+    return rng.choice(["x=3", "x=1,y=2", "FILE", "bt6"])
+
+
+def _argv(rng):
+    """A command line near the plain form: the right positionals, options
+    of the command by their full names, with slips into every other form."""
+    if rng.random() < 0.04:
+        return rng.choice([[], ["frobnicate"], [""], ["Eval", "1"], ["-h"], ["--help"]])
+    command = rng.choice(COMMANDS)
+    positionals, options = _COMMANDS[command][2:]
+    words = [[rng.choice(["1", "#b11", "(= z z)", "BT3", "(s z)"])]
+             for _ in range(len(positionals) + rng.choice([0] * 8 + [-1, 1]))]
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(list(options)) if options and rng.random() < 0.85 else rng.choice(_OPTIONS)
+        kw = options.get(name, {})
+        flag = "action" in kw
+        r = rng.random()
+        if r < 0.1:
+            name = name[:rng.randint(3, len(name))]
+        elif r < 0.17 and not flag:
+            words.append([f"{name}={_value(rng, kw)}"])
+            continue
+        alone = rng.random() < (0.95 if flag else 0.05)
+        words.append([name] if alone else [name, _value(rng, kw)])
+    rng.shuffle(words)
+    argv = [command] + [w for group in words for w in group]
+    r = rng.random()
+    if r < 0.03:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["--", "-h", "--help"]))
+    elif r < 0.06:
+        argv = ["--out", "FILE"] + argv if r < 0.045 else ["--out=FILE"] + argv
+    elif r < 0.08:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_WORDS))
+    return argv
+
+
+def test_the_table_path_parses_like_the_reference():
+    rng = random.Random("cli/parity")
+    read = exits = 0
+    for _ in range(6000):
+        argv = _argv(rng)
+        got = _capture(_table_fields, argv)
+        assert got == _capture(_reference_fields, argv), argv
+        fields = _read(argv)
+        if fields is not None:
+            assert fields == got[0] == _reference_fields(argv), argv
+            read += 1
+        exits += type(got[0]) is tuple
+    # Both sides of the split are reached: the plain form and argparse's
+    # errors and help.
+    assert read >= 2000 and exits >= 1000
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["decide", "--the", "bt5", "(exists y (= (s y) (s z)))"], "tt\n"),
+    (["eval", "--env=x=3", "(+ x x)"], "6\n"),
+    (["bplus", "--rew", "1", "1"], "#b10\n"),
+    (["eval", "--", "(= z z)"], "tt\n"),
+], ids=["abbreviated", "equals", "abbreviated-flag", "double-dash"])
+def test_forms_only_argparse_reads_run_as_before(monkeypatch, argv, out):
+    assert _read(argv) is None
+    got = _capture(run, argv)
+    assert got == (0, out, "")
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    monkeypatch.setattr(cli, "_build_parser", reference_build_parser)
+    assert _capture(run, argv) == got
+
+
+def test_out_with_equals_before_the_command_writes_the_file(tmp_path):
+    target = tmp_path / "result.txt"
+    argv = [f"--out={target}", "bplus", "1", "1"]
+    assert _read(argv) is None
+    assert _capture(run, argv) == (0, "#b10\n", "")
+    assert target.read_text() == "#b10\n"
+
+
+def test_an_ambiguous_abbreviation_is_argparse_usage_error():
+    argv = ["decide", "--e", "x=1", "(= x x)"]
+    got = _capture(run, argv)
+    assert got[:2] == (("exit", 2), "")
+    assert "ambiguous option: --e could match --env, --expect" in got[2]
+    assert got == _capture(_reference_fields, argv)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], ["--out", "eval", "decide", "recognize", "bplus", "btimes", "induct",
+                  "check-theory", "check-morphism", "normalize"]),
+    (["decide", "-h"], ["--theory", "--env", "--expect", "expr", "bt5", "bt6", "tt", "ff"]),
+])
+def test_help_exits_0_naming_every_command_and_option(argv, names):
+    result, out, err = _capture(run, argv)
+    assert (result, err) == (("exit", 0), "")
+    assert all(name in out for name in names)
+    assert out == _capture(_reference_fields, argv)[1]
+
+
+def test_a_plain_command_imports_no_argparse():
+    code = ("import sys; from biforge.cli import run; run(['bplus', '1', '1']); "
+            "print('argparse' in sys.modules); run(['bplus', '--rew', '1', '1']); "
+            "print('argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=60)
+    assert (done.stdout, done.stderr, done.returncode) == ("#b10\nFalse\n#b10\nTrue\n", "", 0)

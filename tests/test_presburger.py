@@ -907,6 +907,9 @@ _QUANTIFIED_MATRIX = QAnd(_lt({"y": 1}, 0), QExists("x", QTrue()))
     (lambda: linearize(Succ(x)), SortError, "linearize needs a formula, not a term"),
     (lambda: _linearize(x, False, None, ()), SortError, "not a formula: Var(name='x')"),
     (lambda: cooper_eliminate("y", _QUANTIFIED_MATRIX), AssertionError, "quantifier inside a matrix"),
+    (lambda: cooper_eliminate("y", QAtom(x)), TypeError, "not a formula: QAtom(atom=Var(name='x'))"),
+    (lambda: eliminate_quantifiers(QExists("y", QAtom(x))), TypeError,
+     "not a formula: QAtom(atom=Var(name='x'))"),
 ])
 def test_walkers_raise_on_what_they_do_not_walk(call, error, message):
     with pytest.raises(error) as err:
