@@ -341,15 +341,15 @@ class Elimination(_Record):
     __slots__ = ("var", "tests", "delta")
 
 
-def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFormula]):
+def _compile(f: QFormula, v: str, table: dict[LinearAtom, int]):
     """``f`` as a program of nested ``(is_and, lhs, rhs)`` tuples.  Each
     distinct atom on ``v`` goes into ``table`` once, and its leaf is its
     index there; an equality on ``v`` is lowered to the two orderings
     ``t - 1 < 0`` and ``-t - 1 < 0`` first.  Any other leaf is left as
-    it is and also added to ``loose``."""
+    it is."""
     tf = type(f)
     if tf is QAnd or tf is QOr:
-        return tf is QAnd, _compile(f.lhs, v, table, loose), _compile(f.rhs, v, table, loose)
+        return tf is QAnd, _compile(f.lhs, v, table), _compile(f.rhs, v, table)
     if tf is QAtom:
         a = f.atom
         try:
@@ -363,19 +363,8 @@ def _compile(f: QFormula, v: str, table: dict[LinearAtom, int], loose: list[QFor
             hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
             return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
     if tf is QAtom or tf is QTrue or tf is QFalse:
-        loose.append(f)
         return f
     raise AssertionError("quantifier inside a matrix")
-
-
-def _holds(program, values: list[bool]) -> bool:
-    """Truth of a program whose every leaf is an index into ``values``."""
-    if type(program) is int:
-        return values[program]
-    is_and, l, r = program
-    if is_and:
-        return _holds(l, values) and _holds(r, values)
-    return _holds(l, values) or _holds(r, values)
 
 
 def _place(program, moved: list, x: int, placed: list) -> QFormula:
@@ -428,11 +417,10 @@ def cooper_eliminate(
     and constant of its rest.  Each distinct candidate ``b + j`` is
     tried once, where its first pair comes.  Each rest is merged with
     ``c * b`` once per distinct ``b.coeffs``; per candidate only the
-    constants move, and an atom is built only when the fold of its
-    branch reaches it, or not at all when every rest is constant and
-    every leaf is in the table: then each candidate is decided on ints.
-    The residue is ``QTrue`` as soon as one branch folds to it, and the
-    ``Elimination`` record lists every test point either way.
+    constants move.  The fold of a branch builds an atom only when it
+    reaches it, and a constant atom not at all, so a ground branch folds
+    to ``QTrue`` or ``QFalse``.  The residue is ``QTrue`` as soon as one
+    branch folds to it; the ``Elimination`` record lists every test point.
     """
     if type(matrix) is QOr:
         flat: list[QFormula] = []
@@ -442,8 +430,7 @@ def cooper_eliminate(
     # contributes a lower bound, so the minus-infinity branch is empty.
     matrix = q_and(matrix, QAtom(LtZero(LinearTerm(((v, -1),), -1))))
     table: dict[LinearAtom, int] = {}
-    loose: list[QFormula] = []
-    program = _compile(matrix, v, table, loose)
+    program = _compile(matrix, v, table)
     m = lcm(*(abs(a.term.coeff(v)) for a in table))
     entries = [(d, c, rest.coeffs, rest.const) for d, c, rest in (_entry(a, v, m) for a in table)]
     if m > 1:  # m | m * v
@@ -459,12 +446,6 @@ def cooper_eliminate(
     for cs, k in tests:
         xs = candidates.setdefault(cs, [])
         xs += range(max(xs[-1], k) + 1 if xs else k + 1, k + delta + 1)
-    if not loose and not any(cs for _, _, cs, _ in entries):
-        for x in candidates.get((), ()):
-            if _holds(program, [(k + c * x) % d == 0 if d else k + c * x < 0
-                                for d, c, _, k in entries]):
-                return _TRUE
-        return _FALSE
     branches = []
     for bs, xs in candidates.items():
         moved = []
