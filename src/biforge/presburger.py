@@ -229,27 +229,22 @@ def _atom(d: int, coeffs: tuple, g: int, k: int) -> QFormula:
     return QAtom(Divides(d // g, t) if d else LtZero(t))
 
 
-def _mk_lt(t: LinearTerm) -> QFormula:
-    return _atom(0, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
-
-
-def _mk_div(d: int, t: LinearTerm) -> QFormula:
-    return _atom(d, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
-
-
 def negate(f: QFormula) -> QFormula:
     """Negation-normal-form complement; negated divisibility expands into
     a disjunction over the nonzero remainders."""
     tf = type(f)
     if tf is QAtom:
         a = f.atom
-        if type(a) is LtZero:
-            t = a.term
-            return _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const))
-        if type(a) is EqZero:
-            return q_or(_mk_lt(a.term), _mk_lt(-a.term))
-        if type(a) is Divides:
-            return q_or_all([_mk_div(a.d, a.term.shift(r)) for r in range(1, a.d)])
+        ta = type(a)
+        if ta is LtZero or ta is EqZero or ta is Divides:
+            cs, k = a.term.coeffs, a.term.const
+            g = gcd(*(c for _, c in cs))
+            if ta is Divides:
+                return q_or_all([_atom(a.d, cs, g, k + r) for r in range(1, a.d)])
+            neg = tuple((u, -c) for u, c in cs)
+            if ta is LtZero:
+                return _atom(0, neg, g, -1 - k)
+            return q_or(_atom(0, cs, g, k), _atom(0, neg, g, -k))
     if tf is QOr:
         return q_and(negate(f.lhs), negate(f.rhs))
     if tf is QAnd:
@@ -341,15 +336,35 @@ class Elimination(_Record):
     __slots__ = ("var", "tests", "delta")
 
 
-def _compile(f: QFormula, v: str, table: dict[LinearAtom, int]):
-    """``f`` as a program of nested ``(is_and, lhs, rhs)`` tuples.  Each
-    distinct atom on ``v`` goes into ``table`` once, and its leaf is its
-    index there; an equality on ``v`` is lowered to the two orderings
-    ``t - 1 < 0`` and ``-t - 1 < 0`` first.  Any other leaf is left as
-    it is."""
+def _ordering(cs: tuple, g: int, k: int) -> tuple:
+    """The table key of ``t < 0`` for coefficients ``cs`` of gcd ``g`` and
+    constant ``k``, divided by ``gcd(g, k)`` as ``_atom`` divides it."""
+    g = gcd(g, k)
+    return 0, (cs if g == 1 else tuple((u, c // g) for u, c in cs)), k // g
+
+
+def _compile(f: QFormula, v: str, table: dict[tuple, int]):
+    """``f`` as a program of nested ``(is_and, lhs, rhs)`` tuples, folded
+    as ``q_and`` and ``q_or`` fold; a constant that absorbs its node ends
+    the walk there.  Each distinct atom on ``v`` goes into ``table`` once,
+    keyed by the tuple ``(divisor or 0, coeffs, const)``, equal to another
+    exactly when the atoms are, and its leaf is its index there; an
+    equality on ``v`` goes in as the keys of ``t - 1 < 0`` and
+    ``-t - 1 < 0``, and a subtree folded away takes its keys out again.
+    Any other leaf is left as it is."""
     tf = type(f)
     if tf is QAnd or tf is QOr:
-        return tf is QAnd, _compile(f.lhs, v, table), _compile(f.rhs, v, table)
+        n = len(table)
+        zero, one = (QFalse, QTrue) if tf is QAnd else (QTrue, QFalse)
+        l = _compile(f.lhs, v, table)
+        if type(l) is zero:
+            return l
+        r = _compile(f.rhs, v, table)
+        if type(r) is zero:
+            while len(table) > n:  # keys enter only at the end: drop the ones l entered
+                table.popitem()
+            return r
+        return r if type(l) is one else l if type(r) is one else (tf is QAnd, l, r)
     if tf is QAtom:
         a = f.atom
         try:
@@ -357,10 +372,12 @@ def _compile(f: QFormula, v: str, table: dict[LinearAtom, int]):
         except AttributeError:
             raise TypeError(f"not a formula: {f!r}") from None
         if t.coeff(v):
+            cs, k = t.coeffs, t.const
             if type(a) is not EqZero:
-                return table.setdefault(a, len(table))
-            lo = _mk_lt(LinearTerm(t.coeffs, t.const - 1)).atom
-            hi = _mk_lt(LinearTerm(tuple((u, -c) for u, c in t.coeffs), -1 - t.const)).atom
+                return table.setdefault((a.d if type(a) is Divides else 0, cs, k), len(table))
+            g = gcd(*(c for _, c in cs))
+            lo = _ordering(cs, g, k - 1)
+            hi = _ordering(tuple((u, -c) for u, c in cs), g, -1 - k)
             return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
     if tf is QAtom or tf is QTrue or tf is QFalse:
         return f
@@ -388,12 +405,14 @@ def _place(program, moved: list, x: int, placed: list) -> QFormula:
     return l if type(l) is QTrue else q_or(l, _place(r, moved, x, placed))
 
 
-def _entry(a: LinearAtom, v: str, m: int) -> tuple[int, int, LinearTerm]:
-    """The atom ``a`` as divisor (0 for an ordering), coefficient on ``m * v``
-    and rest; the coefficient is 1 or -1, and 1 for a divisibility."""
-    t, k = a.term, m // a.term.coeff(v)
-    d, c, k = (a.d * abs(k), 1, k) if type(a) is Divides else (0, 1 if k > 0 else -1, abs(k))
-    return d, c, LinearTerm(tuple((u, x * k) for u, x in t.coeffs if u != v), t.const * k)
+def _entry(key: tuple, v: str, m: int) -> tuple[int, int, tuple, int]:
+    """The atom of the table key ``(divisor or 0, coeffs, const)`` as
+    divisor, coefficient on ``m * v``, and the coefficients and constant
+    of its rest; the coefficient is 1 or -1, and 1 for a divisibility."""
+    d, cs, k = key
+    s = m // dict(cs)[v]
+    d, c, s = (d * abs(s), 1, s) if d else (0, 1 if s > 0 else -1, abs(s))
+    return d, c, tuple((u, x * s) for u, x in cs if u != v), k * s
 
 
 def cooper_eliminate(
@@ -411,28 +430,32 @@ def cooper_eliminate(
 
     The residue is the disjunction, over test points ``b`` and period
     steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  One
-    walk compiles the matrix into a program over a table of its
-    distinct atoms on ``v``, each split once into ints: divisor,
-    coefficient ``c`` unified to the lcm ``m``, and the coefficients
-    and constant of its rest.  Each distinct candidate ``b + j`` is
-    tried once, where its first pair comes.  Each rest is merged with
-    ``c * b`` once per distinct ``b.coeffs``; per candidate only the
-    constants move.  The fold of a branch builds an atom only when it
+    walk compiles the matrix, folded, into a program over a table of its
+    distinct atoms on ``v``, keyed by plain tuples, and the bound
+    ``-v - 1 < 0`` goes in as one more key.  Each key is split once into
+    ints: divisor, coefficient ``c`` unified to the lcm ``m``, and the
+    coefficients and constant of its rest.  Each distinct candidate
+    ``b + j`` is tried once, where its first pair comes.  Each rest is
+    merged with ``c * b`` once per distinct ``b.coeffs``, on tuples; per
+    candidate only the constants move.  Records are built only for what
+    leaves the step: the ``Elimination`` record, which lists every test
+    point, and the atoms of the residue, each when the fold of a branch
     reaches it, and a constant atom not at all, so a ground branch folds
     to ``QTrue`` or ``QFalse``.  The residue is ``QTrue`` as soon as one
-    branch folds to it; the ``Elimination`` record lists every test point.
+    branch folds to it.
     """
     if type(matrix) is QOr:
         flat: list[QFormula] = []
         _gather(QOr, matrix, set(), flat)
         return q_or_all([cooper_eliminate(v, part, _record) for part in flat])
+    table: dict[tuple, int] = {}
+    program = _compile(matrix, v, table)
     # Relativize to the naturals: v >= 0, i.e. -v - 1 < 0.  This always
     # contributes a lower bound, so the minus-infinity branch is empty.
-    matrix = q_and(matrix, QAtom(LtZero(LinearTerm(((v, -1),), -1))))
-    table: dict[LinearAtom, int] = {}
-    program = _compile(matrix, v, table)
-    m = lcm(*(abs(a.term.coeff(v)) for a in table))
-    entries = [(d, c, rest.coeffs, rest.const) for d, c, rest in (_entry(a, v, m) for a in table)]
+    if type(program) is not QFalse:
+        program = True, program, table.setdefault((0, ((v, -1),), -1), len(table))
+    m = lcm(*(abs(dict(cs)[v]) for _, cs, _ in table))
+    entries = [_entry(key, v, m) for key in table]
     if m > 1:  # m | m * v
         program = (True, program, len(entries))
         entries.append((m, 1, (), 0))
@@ -451,7 +474,10 @@ def cooper_eliminate(
         moved = []
         for d, c, cs, k in entries:
             if bs:
-                cs = (LinearTerm(cs, 0) + LinearTerm(bs, 0).scale(c)).coeffs
+                merged = dict(cs)
+                for u, b in bs:
+                    merged[u] = merged.get(u, 0) + c * b
+                cs = tuple(sorted(p for p in merged.items() if p[1]))
             moved.append((d, c, cs, k, gcd(*(a for _, a in cs))))
         for x in xs:
             branch = _place(program, moved, x, [None] * len(moved))

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator
 
 import pytest
@@ -11,7 +11,7 @@ from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
     Divides, Elimination, EqZero, LinearAtom, LinearTerm, LtZero, QAnd, QAtom,
     QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _decide,
-    _entry, _gather, _mk_div, _mk_lt, bounded_oracle,
+    _atom, _compile, _entry, _gather, bounded_oracle,
     cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
     _linearize, eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or,
     q_or_all, sufficiency_bound,
@@ -201,6 +201,14 @@ def test_smart_constructors():
     assert q_and(QFalse(), t) == QFalse()
     assert q_or(QTrue(), t) == QTrue()
     assert q_or(QFalse(), t) == t
+
+
+def _mk_lt(t: LinearTerm) -> QFormula:
+    return _atom(0, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
+
+
+def _mk_div(d: int, t: LinearTerm) -> QFormula:
+    return _atom(d, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
 
 
 def test_divides_validation():
@@ -492,9 +500,53 @@ def test_direct_elimination_matches_reference(matrix):
     assert (got, records) == (want, reference_records)
 
 
+_Y = _lt({"y": -1, "x": 1}, 0)  # y > x, a lower bound on y
+
+
+@pytest.mark.parametrize("matrix, tests", [
+    (QAnd(QFalse(), _Y), ()),
+    (QAnd(_Y, QFalse()), ()),
+    # the QOr folds to QTrue, so only y < 5 and v >= 0 bound y
+    (QAnd(_lt({"y": 1}, -5), QOr(QTrue(), _Y)), (LinearTerm.constant(-1),)),
+    (QAnd(_lt({"y": 1}, -5), QOr(_Y, QTrue())), (LinearTerm.constant(-1),)),
+])
+def test_raw_truth_constants_fold_as_in_the_reference(matrix, tests):
+    # A hand-built QAnd/QOr may hold QTrue/QFalse, which the smart
+    # constructors would have folded: the atoms folded away must leave
+    # no test point behind.
+    records, reference_records = [], []
+    got = cooper_eliminate("y", matrix, records)
+    want = reference_cooper_eliminate("y", matrix, reference_records)
+    assert (got, records) == (want, reference_records)
+    assert records == [Elimination("y", tests, 1)] and sufficiency_bound(records) == 0
+
+
+def test_the_atom_table_has_one_entry_per_distinct_atom(monkeypatch):
+    # The table is keyed by plain tuples, which must tell atoms apart
+    # exactly as record equality does.  2y + 1 = 0 is lowered to y < 0
+    # and -y - 1 < 0 (each reduced by 2), which an explicit y < 0 and
+    # the bound v >= 0 share; 2y + 2 < 0, hand-built unreduced, is not
+    # y + 1 < 0, nor is 3 | y + 1.
+    matrix = QAnd(QAnd(QAtom(EqZero(LinearTerm.make({"y": 2}, 1))), _lt({"y": 1}, 0)),
+                  QAnd(QAnd(_lt({"y": 2}, 2), _lt({"y": 1}, 1)),
+                       QAnd(_div(3, {"y": 1}, 1), _lt({"y": -1}, -1))))
+    keys = []
+    monkeypatch.setattr(presburger, "_entry", _recording(presburger._entry, keys, 0))
+    records, reference_records = [], []
+    got = cooper_eliminate("y", matrix, records)
+    want = reference_cooper_eliminate("y", matrix, reference_records)
+    assert (got, records) == (want, reference_records)
+    assert keys == [(0, (("y", 1),), 0), (0, (("y", -1),), -1), (0, (("y", 2),), 2),
+                    (0, (("y", 1),), 1), (3, (("y", 1),), 1)]
+    table = {}
+    assert _compile(matrix, "y", table) == (True, (True, (True, 0, 1), 0), (True, (True, 2, 3), (True, 4, 1)))
+    assert list(table) == keys
+
+
 def test_entry_is_the_unified_atom_split():
-    # Each table entry equals the reference's unified atom, split into
-    # divisor, coefficient and rest.
+    # Each table key's entry equals the reference's unified atom, split
+    # into divisor, coefficient, and the coefficients and constant of the
+    # rest.
     rng = random.Random("entry")
     for _ in range(2000):
         atoms = []
@@ -506,8 +558,10 @@ def test_entry_is_the_unified_atom_split():
         m = lcm(*(abs(a.term.coeff("y")) for a in atoms)) * rng.randint(1, 3)
         for a in atoms:
             u = _unify_coefficient(a, "y", m).atom
-            split = (u.d if type(u) is Divides else 0, u.term.coeff("y"), u.term.drop("y"))
-            assert _entry(a, "y", m) == split
+            rest = u.term.drop("y")
+            split = (u.d if type(u) is Divides else 0, u.term.coeff("y"), rest.coeffs, rest.const)
+            key = (a.d if type(a) is Divides else 0, a.term.coeffs, a.term.const)
+            assert _entry(key, "y", m) == split
 
 
 # ---------------------------------------------------------------------------
