@@ -247,27 +247,13 @@ _BINARIES = frozenset((Plus, Times, And, Or, Implies, Eq))
 _BINDERS = frozenset((Forall, Exists, Abs))
 
 
-def _climb(c, base, step):
-    """``base`` of the node below the chain of successors and negations
-    from ``c`` down, then ``step(u, a)`` at each node ``u`` of the chain,
-    innermost first: a loop, so a chain of any length is walked."""
-    spine = []
-    while type(c) in _UNARIES:
-        spine.append(c)
-        c = c.arg
-    a = base(c)
-    for u in reversed(spine):
-        a = step(u, a)
-    return a
-
-
 def _fold(leaf, node):
-    """The post-order walker that computes ``leaf(c)`` at a leaf and
-    ``node(c, a)`` or ``node(c, a, b)`` at a compound node from the
-    results ``a``, ``b`` of its children.  A binary node whose two
-    children are one object has that child computed once, and then
-    ``b is a``, so a shared numeral layer is walked once, and a chain of
-    successors or negations is walked in a loop."""
+    """The one post-order walker of constructions, and the one that
+    rebuilds them: ``leaf(c)`` at a leaf, ``node(c, a)`` or
+    ``node(c, a, b)`` at a compound node from the results ``a``, ``b`` of
+    its children.  Two children that are one object are walked once, and
+    then ``b is a``; a chain of successors and negations is walked in
+    this function's loop, so its length is not bounded by recursion."""
 
     def walk(c):
         t = type(c)
@@ -277,7 +263,14 @@ def _fold(leaf, node):
         if t in _UNARIES:
             if type(c.arg) not in _UNARIES:
                 return node(c, walk(c.arg))
-            return _climb(c, walk, node)
+            spine = []
+            while type(c) in _UNARIES:
+                spine.append(c)
+                c = c.arg
+            a = walk(c)
+            for u in reversed(spine):
+                a = node(u, a)
+            return a
         if t in _BINDERS:
             return node(c, walk(c.body))
         if t in _LEAVES:
@@ -421,35 +414,28 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
 def substitute(c: Construction, v: str, t: Construction) -> Construction:
     """Replace every free occurrence of ``v`` in ``c`` by the term ``t``.
 
-    Capture-avoiding: a binder whose variable occurs free in ``t`` is
-    renamed to a fresh variable before descending.
-    """
+    Capture-avoiding: a binder whose variable is free in ``t`` and whose
+    body has ``v`` free is renamed to a fresh variable first.  A binder
+    of ``v`` is kept; every other node is rebuilt, and children that are
+    one object stay one object."""
     _expect(sort_of(t), Sort.NAT, "substitute")
-    return _subst(c, v, t, free_vars(t))
+    fv_t = free_vars(t)
 
+    def node(u, a, b=None):
+        ctor = type(u)
+        if b is not None:
+            return ctor(a, b)
+        if ctor not in _BINDERS:
+            return ctor(a)
+        if u.var == v:
+            return u
+        if u.var in fv_t and v in free_vars(u.body):
+            w2 = fresh_name(u.var, free_vars(u.body) | fv_t | {v})
+            return ctor(w2, walk(substitute(u.body, u.var, Var(w2))))
+        return ctor(u.var, a)
 
-def _subst(c: Construction, v: str, t: Construction, fv_t: frozenset[str]) -> Construction:
-    match c:
-        case Var(w):
-            return t if w == v else c
-        case Zero() | TT() | FF():
-            return c
-        case Succ() | Not():
-            return _climb(c, lambda a: _subst(a, v, t, fv_t), lambda u, a: type(u)(a))
-        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            # equal children stay one object, so a shared numeral stays shared
-            left = _subst(l, v, t, fv_t)
-            return type(c)(left, left if r is l else _subst(r, v, t, fv_t))
-        case Forall(w, b) | Exists(w, b) | Abs(w, b):
-            ctor = type(c)
-            if w == v:
-                return c
-            if w in fv_t and v in free_vars(b):
-                w2 = fresh_name(w, free_vars(b) | fv_t | {v})
-                b = _subst(b, w, Var(w2), frozenset((w2,)))
-                w = w2
-            return ctor(w, _subst(b, v, t, fv_t))
-    raise TypeError(f"not a construction: {c!r}")
+    walk = _fold(lambda u: t if type(u) is Var and u.name == v else u, node)
+    return walk(c)
 
 
 def alpha_equal(a: Construction, b: Construction) -> bool:
@@ -460,20 +446,16 @@ def alpha_equal(a: Construction, b: Construction) -> bool:
 def _alpha(a, b, env_a, env_b, depth) -> bool:
     while type(a) in _UNARIES and type(b) is type(a):
         a, b = a.arg, b.arg
-    if type(a) is not type(b):
+    t = type(a)
+    if t is not type(b):
         return False
-    match a:
-        case Var(v):
-            return env_a.get(v, v) == env_b.get(b.name, b.name)
-        case Zero() | TT() | FF():
-            return True
-        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-            return _alpha(l, b.lhs, env_a, env_b, depth) and (
-                (r is l and b.rhs is b.lhs) or _alpha(r, b.rhs, env_a, env_b, depth))
-        case Forall(v, body) | Exists(v, body) | Abs(v, body):
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[v] = depth
-            eb[b.var] = depth
-            return _alpha(body, b.body, ea, eb, depth + 1)
+    if t in _BINARIES:
+        return _alpha(a.lhs, b.lhs, env_a, env_b, depth) and (
+            (a.rhs is a.lhs and b.rhs is b.lhs) or _alpha(a.rhs, b.rhs, env_a, env_b, depth))
+    if t in _BINDERS:
+        return _alpha(a.body, b.body, env_a | {a.var: depth}, env_b | {b.var: depth}, depth + 1)
+    if t is Var:
+        return env_a.get(a.name, a.name) == env_b.get(b.name, b.name)
+    if t in _LEAVES:
+        return True
     raise TypeError(f"not a construction: {a!r}")

@@ -551,9 +551,16 @@ def _one_of(what: str, words: dict) -> tuple[Callable, Callable]:
     return read, words.__getitem__
 
 
+def _parse_tail(text: str, body: str) -> Construction:
+    try:  # positions count from the start of ``text``, of which ``body`` is the tail
+        return parse_construction(body)
+    except ParseError as err:
+        raise ParseError(err.message, err.position + len(text) - len(body)) from None
+
+
 def _read_axiom(text: str) -> tuple[str, Construction]:
     name, _, body = text.partition(" ")
-    return name, parse_construction(body)
+    return name, _parse_tail(text, body)
 
 
 def _read_map(text: str) -> tuple[str, str]:
@@ -564,8 +571,8 @@ def _read_map(text: str) -> tuple[str, str]:
 
 
 def _read_obligation(text: str) -> Obligation:
-    name, _, text = text.partition(" ")
-    word, _, body = text.partition(" ")
+    name, _, rest = text.partition(" ")
+    word, _, body = rest.partition(" ")
     if word == "decide-l2":
         policy: DischargePolicy = DecideL2()
     elif word == "model-check":
@@ -574,7 +581,7 @@ def _read_obligation(text: str) -> Obligation:
         policy = RandomizedModelCheck(int(samples), int(bound))
     else:
         raise ValueError(f"unknown policy {word!r}")
-    return Obligation(name, parse_construction(body), policy)
+    return Obligation(name, _parse_tail(text, body), policy)
 
 
 def _write_obligation(ob: Obligation) -> str:
@@ -639,10 +646,10 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
             records[kind][record.name] = record
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.sub("", raw).strip()
+        line = _COMMENT.sub("", raw).rstrip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, _, rest = line.lstrip().partition(" ")
         rest = rest.strip()
         if head in _GRAPH:
             close()
@@ -672,7 +679,8 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
                     fields[field] = value
                     given.add(head)
         except ParseError as err:
-            raise ParseError(f"line {lineno}: {err.message}", err.position) from None
+            raise ParseError(f"line {lineno}: {err.message}",
+                             err.position + len(line) - len(rest)) from None
         except ValueError as err:
             raise ParseError(f"line {lineno}: {err}", 0) from None
     close()

@@ -374,11 +374,12 @@ def test_the_command_line_reads_decimals_of_any_length():
     # A record is built when its block ends, before the next block is read.
     ("theory T\n  level 2\n  axiom open (= x z)\n\ntheory U\n  bogus\n",
      "line 1: axiom open of T is not closed"),
-    # Reader errors carry their position once.
-    ("theory T\n  level 2\n  axiom a (= z z\n", "line 3: unclosed '(' (at position 0)\n"),
-    ("theory T\n  level 2\n  axiom a\n", "line 3: empty input (at position 0)\n"),
+    # Reader errors carry their position once, counted from the start of
+    # the line.
+    ("theory T\n  level 2\n  axiom a (= z z\n", "line 3: unclosed '(' (at position 10)\n"),
+    ("theory T\n  level 2\n  axiom a\n", "line 3: empty input (at position 9)\n"),
     ("morphism M\n  obligation a decide-l2 (= z z))\n",
-     "line 2: trailing input ')' (at position 7)\n"),
+     "line 2: trailing input ')' (at position 32)\n"),
     ("morphism M\n  map 0\n", "line 2: map needs two symbols, got '0'"),
     ("theory\n  level 2\n", "line 1: theory needs a name"),
     ("theory T\n  level 2\nmorphism # no name\n", "line 3: morphism needs a name"),

@@ -1,14 +1,19 @@
+import random
+import sys
+
 import pytest
 
+from biforge.binum import BinNum, to_construction
 from biforge.errors import NotAnAbstraction, SortError
 from biforge.presburger import linearize
 from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment, eval_bool, eval_nat, Bounded
 from biforge.sexpr import to_sexpr
 from biforge.syntax import (
-    Abs, And, Eq, Exists, FF, Forall, Implies, Not, Plus, Sort, Succ, TT,
-    Var, Zero, abs_body, alpha_equal, bnat, free_vars, is_abs, is_closed,
-    quote_unary, sort_of, substitute,
+    Abs, And, Eq, Exists, FF, Forall, Implies, Not, Or, Plus, Sort, Succ, TT,
+    Times, Var, Zero, _BINARIES, _BINDERS, _UNARIES, _expect, _fold, abs_body,
+    alpha_equal, bnat, fresh_name, free_vars, is_abs, is_closed, quote_unary,
+    sort_of, substitute,
 )
 from .conftest import random_matrix, random_term
 
@@ -221,3 +226,275 @@ def test_alpha_equal_walks_deep_chains_in_a_loop():
     assert not alpha_equal(succs(x), succs(y))
     assert not alpha_equal(_nots(TT(), n), _nots(FF(), n))
     assert alpha_equal(Forall("x", Eq(succs(x), y)), Forall("w", Eq(succs(Var("w")), y)))
+
+
+# The earlier substitution and alpha-equivalence walkers, which matched
+# on node shape and recursed by hand, kept as the references that
+# ``substitute`` and ``alpha_equal`` must agree with.
+def _reference_climb(c, base, step):
+    spine = []
+    while type(c) in _UNARIES:
+        spine.append(c)
+        c = c.arg
+    a = base(c)
+    for u in reversed(spine):
+        a = step(u, a)
+    return a
+
+
+def reference_substitute(c, v, t):
+    _expect(sort_of(t), Sort.NAT, "substitute")
+    return _reference_subst(c, v, t, free_vars(t))
+
+
+def _reference_subst(c, v, t, fv_t):
+    match c:
+        case Var(w):
+            return t if w == v else c
+        case Zero() | TT() | FF():
+            return c
+        case Succ() | Not():
+            return _reference_climb(
+                c, lambda a: _reference_subst(a, v, t, fv_t), lambda u, a: type(u)(a))
+        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+            left = _reference_subst(l, v, t, fv_t)
+            return type(c)(left, left if r is l else _reference_subst(r, v, t, fv_t))
+        case Forall(w, b) | Exists(w, b) | Abs(w, b):
+            ctor = type(c)
+            if w == v:
+                return c
+            if w in fv_t and v in free_vars(b):
+                w2 = fresh_name(w, free_vars(b) | fv_t | {v})
+                b = _reference_subst(b, w, Var(w2), frozenset((w2,)))
+                w = w2
+            return ctor(w, _reference_subst(b, v, t, fv_t))
+    raise TypeError(f"not a construction: {c!r}")
+
+
+def reference_alpha_equal(a, b):
+    return _reference_alpha(a, b, {}, {}, 0)
+
+
+def _reference_alpha(a, b, env_a, env_b, depth):
+    while type(a) in _UNARIES and type(b) is type(a):
+        a, b = a.arg, b.arg
+    if type(a) is not type(b):
+        return False
+    match a:
+        case Var(v):
+            return env_a.get(v, v) == env_b.get(b.name, b.name)
+        case Zero() | TT() | FF():
+            return True
+        case Plus(l, r) | Times(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+            return _reference_alpha(l, b.lhs, env_a, env_b, depth) and (
+                (r is l and b.rhs is b.lhs) or _reference_alpha(r, b.rhs, env_a, env_b, depth))
+        case Forall(v, body) | Exists(v, body) | Abs(v, body):
+            ea = dict(env_a)
+            eb = dict(env_b)
+            ea[v] = depth
+            eb[b.var] = depth
+            return _reference_alpha(body, b.body, ea, eb, depth + 1)
+    raise TypeError(f"not a construction: {a!r}")
+
+
+# The corpus's names: substituting for one of them, with a term that
+# mentions others, meets binders of the substituted name (shadowing),
+# binders of a name the term mentions (capture), and names that
+# ``fresh_name`` has to step past.
+NAMES = ("x", "y", "w", "x1", "y1")
+CHAIN = 5 * sys.getrecursionlimit()
+
+
+def _literal(rng):
+    value = rng.randrange(1, 256)
+    return to_construction(BinNum(value, value.bit_length() + rng.randint(0, 2)))
+
+
+def _corpus_term(rng, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        t = Var(rng.choice(NAMES)) if rng.random() < 0.7 else Zero()
+    elif r < 0.45:
+        t = _literal(rng)
+    elif r < 0.55:
+        a = _corpus_term(rng, depth - 1)
+        t = rng.choice((Plus, Times))(a, a)
+    else:
+        t = rng.choice((Plus, Times))(_corpus_term(rng, depth - 1), _corpus_term(rng, depth - 1))
+    for _ in range(rng.randint(0, 2)):
+        t = Succ(t)
+    return t
+
+
+def _corpus_formula(rng, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        return Eq(_corpus_term(rng, 2), _corpus_term(rng, 2))
+    if r < 0.55:
+        return rng.choice((Forall, Exists))(rng.choice(NAMES), _corpus_formula(rng, depth - 1))
+    if r < 0.65:
+        return Not(_corpus_formula(rng, depth - 1))
+    ctor = rng.choice((And, Or, Implies))
+    a = _corpus_formula(rng, depth - 1)
+    return ctor(a, a if rng.random() < 0.2 else _corpus_formula(rng, depth - 1))
+
+
+def _deep(wrap, c, n=CHAIN):
+    for _ in range(n):
+        c = wrap(c)
+    return c
+
+
+def _corpus(seed, n=300):
+    """``(c, v, t)`` substitution cases: random formulas and
+    abstractions, then chains of successors and negations five times
+    the recursion limit, under binders that shadow or capture."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        c = _corpus_formula(rng, 4)
+        if rng.random() < 0.2:
+            c = Abs(rng.choice(NAMES), c)
+        cases.append((c, rng.choice(NAMES), _corpus_term(rng, 2)))
+    lit = _literal(rng)
+    deep_eq = Eq(_deep(Succ, x), Plus(lit, y))
+    cases += [
+        (_deep(Succ, x), "x", lit),
+        (_deep(Not, deep_eq), "x", Succ(y)),
+        (Forall("y", _deep(Not, deep_eq)), "x", Succ(y)),
+        (Exists("x", _deep(Not, deep_eq)), "x", Succ(y)),
+        (Abs("y", _deep(Succ, Eq(Var("y1"), _deep(Succ, x)), 3)), "x", Plus(y, Var("y1"))),
+        (Forall("y", And(_deep(Not, Exists("x", deep_eq)), deep_eq)), "x", y),
+    ]
+    return cases
+
+
+def _shape(c):
+    """Every node of ``c`` in pre-order, as its type with, at a binary
+    node, whether its two children are one object and, at a binder, its
+    variable's name; a loop, so chains of any depth are listed."""
+    out, stack = [], [c]
+    while stack:
+        c = stack.pop()
+        t = type(c)
+        if t in _BINARIES:
+            out.append((t, c.lhs is c.rhs))
+            stack += [c.lhs] if c.lhs is c.rhs else [c.rhs, c.lhs]
+        elif t in _UNARIES:
+            out.append((t,))
+            stack.append(c.arg)
+        elif t in _BINDERS:
+            out.append((t, c.var))
+            stack.append(c.body)
+        else:
+            out.append((t, c))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return True, f(*args)
+    except Exception as err:  # the exception's type and text are compared
+        return False, (type(err), str(err))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_substitute_agrees_with_the_reference(seed):
+    def binders(c):
+        return [n[1] for n in _shape(c) if n[0] in _BINDERS]
+
+    renamed = 0
+    for c, v, t in _corpus(seed):
+        want = reference_substitute(c, v, t)
+        got = substitute(c, v, t)
+        assert got == want
+        assert _shape(got) == _shape(want)
+        renamed += binders(got) != binders(c)
+    assert renamed > 0  # the corpus meets capture
+
+
+def _plant(c, k, junk):
+    """``c`` with its ``k``-th leaf in walk order replaced by ``junk``."""
+    seen = []
+
+    def leaf(u):
+        seen.append(u)
+        return junk if len(seen) == k + 1 else u
+
+    def node(u, a, b=None):
+        if type(u) in _BINARIES:  # ``b`` may be the planted None
+            return type(u)(a, b)
+        return type(u)(u.var, a) if type(u) in _BINDERS else type(u)(a)
+
+    return _fold(leaf, node)(c)
+
+
+def _binds_over(c, v, junk):
+    """Whether ``junk`` lies below a binder of ``v`` in ``c``."""
+    stack = [(c, False)]
+    while stack:
+        c, under = stack.pop()
+        if c is junk:
+            return under
+        t = type(c)
+        if t in _BINARIES:
+            stack += [(c.lhs, under), (c.rhs, under)]
+        elif t in _UNARIES:
+            stack.append((c.arg, under))
+        elif t in _BINDERS:
+            stack.append((c.body, under or c.var == v))
+    return False
+
+
+@pytest.mark.parametrize("junk", [7, "x", None, (Zero(),)], ids=["int", "str", "none", "tuple"])
+def test_substitute_rejects_non_constructions_like_the_reference(junk):
+    rng = random.Random(17)
+    shadowed = 0
+    for c, v, t in _corpus(5, 150):
+        planted = _plant(c, rng.randrange(8), junk)
+        want = _outcome(reference_substitute, planted, v, t)
+        got = _outcome(substitute, planted, v, t)
+        if want[0] and _binds_over(planted, v, junk):
+            # A binder of ``v`` around a non-construction: the reference
+            # returned the binder without looking below it; the fold walks
+            # every node, so the non-construction is reported.
+            shadowed += 1
+            assert got == (False, (TypeError, f"not a construction: {junk!r}"))
+        else:
+            assert got == want
+    assert shadowed > 0
+    assert _outcome(substitute, Eq(x, y), "x", junk) == _outcome(
+        reference_substitute, Eq(x, y), "x", junk)
+
+
+def _variant(c):
+    """``c`` with every binder renamed by the reference substitution."""
+    def node(u, a, b=None):
+        if b is not None:
+            return type(u)(a, b)
+        if type(u) not in _BINDERS:
+            return type(u)(a)
+        w = u.var + "r"
+        return type(u)(w, _reference_subst(a, u.var, Var(w), frozenset((w,))))
+
+    return _fold(lambda u: u, node)(c)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_alpha_equal_agrees_with_the_reference(seed):
+    cases = _corpus(seed)
+    rng = random.Random(seed)
+    verdicts = set()
+    for c, v, t in cases:
+        for other in (c, _variant(c), substitute(c, v, t), rng.choice(cases)[0]):
+            # a node with one shared child against one with two children
+            lopsided = (And(c, c), And(c, other))
+            for a, b in ((c, other), (other, c), lopsided, lopsided[::-1]):
+                want = _outcome(reference_alpha_equal, a, b)
+                assert _outcome(alpha_equal, a, b) == want
+                verdicts.add(want)
+    assert verdicts == {(True, True), (True, False)}
+    for junk in (7, "x", None):
+        planted = _plant(cases[0][0], 0, junk)
+        for a, b in ((planted, planted), (planted, cases[0][0]), (junk, junk)):
+            assert _outcome(alpha_equal, a, b) == _outcome(reference_alpha_equal, a, b)
