@@ -248,12 +248,13 @@ _BINDERS = frozenset((Forall, Exists, Abs))
 
 
 def _fold(leaf, node):
-    """The one post-order walker of constructions, and the one that
-    rebuilds them: ``leaf(c)`` at a leaf, ``node(c, a)`` or
-    ``node(c, a, b)`` at a compound node from the results ``a``, ``b`` of
-    its children.  Two children that are one object are walked once, and
-    then ``b is a``; a chain of successors and negations is walked in
-    this function's loop, so its length is not bounded by recursion."""
+    """The post-order walker of constructions: ``leaf(c)`` at a leaf,
+    ``node(c, a)`` or ``node(c, a, b)`` at a compound node from the
+    results ``a``, ``b`` of its children.  Two children that are one
+    object are walked once, and then ``b is a``; a chain of successors
+    and negations is walked in this function's loop, so its length is not
+    bounded by recursion.  :func:`substitute` decides at a binder before
+    it walks the body, so it is not a fold."""
 
     def walk(c):
         t = type(c)
@@ -414,27 +415,40 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
 def substitute(c: Construction, v: str, t: Construction) -> Construction:
     """Replace every free occurrence of ``v`` in ``c`` by the term ``t``.
 
-    Capture-avoiding: a binder whose variable is free in ``t`` and whose
-    body has ``v`` free is renamed to a fresh variable first.  A binder
-    of ``v`` is kept; every other node is rebuilt, and children that are
-    one object stay one object."""
+    Capture-avoiding and top-down: a binder of ``v`` is kept as it is,
+    unwalked, and one whose variable is free in ``t`` and whose body has
+    ``v`` free is renamed to a fresh variable before its body is walked.
+    Children that are one object stay one object, and a chain of
+    successors and negations is walked in a loop."""
     _expect(sort_of(t), Sort.NAT, "substitute")
     fv_t = free_vars(t)
 
-    def node(u, a, b=None):
-        ctor = type(u)
-        if b is not None:
-            return ctor(a, b)
-        if ctor not in _BINDERS:
-            return ctor(a)
-        if u.var == v:
-            return u
-        if u.var in fv_t and v in free_vars(u.body):
-            w2 = fresh_name(u.var, free_vars(u.body) | fv_t | {v})
-            return ctor(w2, walk(substitute(u.body, u.var, Var(w2))))
-        return ctor(u.var, a)
+    def walk(c):
+        ctor = type(c)
+        if ctor in _BINARIES:
+            a = walk(c.lhs)
+            return ctor(a, a if c.rhs is c.lhs else walk(c.rhs))
+        if ctor in _UNARIES:
+            spine = []
+            while type(c) in _UNARIES:
+                spine.append(type(c))
+                c = c.arg
+            c = walk(c)
+            for ctor in reversed(spine):
+                c = ctor(c)
+            return c
+        if ctor in _BINDERS:
+            w, body = c.var, c.body
+            if w == v:
+                return c
+            if w in fv_t and v in free_vars(body):
+                w = fresh_name(w, free_vars(body) | fv_t | {v})
+                body = substitute(body, c.var, Var(w))
+            return ctor(w, walk(body))
+        if ctor in _LEAVES:
+            return t if ctor is Var and c.name == v else c
+        raise TypeError(f"not a construction: {c!r}")
 
-    walk = _fold(lambda u: t if type(u) is Var and u.name == v else u, node)
     return walk(c)
 
 

@@ -632,8 +632,9 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
     """Parse the line-oriented graph description format produced by
     :func:`render_theory_graph`.  Each record kind takes only its own
     directives.  A fault in a line raises a ParseError naming that line
-    as the line is read; a record is built when its block ends, and a
-    fault in it names its header's line."""
+    as the line is read, at the column of its value (or its end) or of
+    the fault in the value's s-expression; a record is built when its
+    block ends, and a fault in it names its header's line at position 0."""
     records: dict[str, dict] = {"theory": {}, "morphism": {}}
     kind = None  # the open record's kind, header line, fields and directives
 
@@ -651,6 +652,7 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
             continue
         head, _, rest = line.lstrip().partition(" ")
         rest = rest.strip()
+        at = len(line) - len(rest)  # the value's column, or the line's end
         if head in _GRAPH:
             close()
             kind, header, directives = head, lineno, _GRAPH[head][1]
@@ -679,9 +681,8 @@ def parse_theory_graph(text: str) -> tuple[dict[str, BiformTheory], dict[str, Mo
                     fields[field] = value
                     given.add(head)
         except ParseError as err:
-            raise ParseError(f"line {lineno}: {err.message}",
-                             err.position + len(line) - len(rest)) from None
+            raise ParseError(f"line {lineno}: {err.message}", at + err.position) from None
         except ValueError as err:
-            raise ParseError(f"line {lineno}: {err}", 0) from None
+            raise ParseError(f"line {lineno}: {err}", at) from None
     close()
     return records["theory"], records["morphism"]

@@ -241,7 +241,7 @@ def test_graph_obligation_with_zero_samples_is_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: line 4: samples must be positive, got 0 (at position 0)\n"
+        "error: line 4: samples must be positive, got 0 (at position 13)\n"
     )
 
 
