@@ -18,14 +18,14 @@ import random
 import re
 from typing import Callable, Optional, Union
 
-from .errors import LanguageError, NotAnAbstraction, ParseError
+from .errors import LanguageError, NotAnAbstraction, ParseError, SortError
 from .presburger import TruthValue, compile_oracle, decide_bt5, decide_bt6
 from .recognizers import LangLevel, is_fo, is_fo_abs
 from .semantics import Environment
 from .sexpr import parse_construction, to_sexpr
 from .syntax import (
-    Abs, And, Construction, Eq, Exists, Forall, Implies, Not, Or,
-    Plus, Succ, Times, Var, Zero, _fold, _Record, abs_body, free_vars, is_abs, substitute,
+    And, Construction, Eq, Exists, Forall, Implies, Not, Or, Plus, Sort, Succ, Times, Var,
+    Zero, _fold, _Record, abs_body, free_vars, is_abs, sort_of, substitute,
 )
 
 
@@ -396,29 +396,18 @@ def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
     return Report(f"axiom check for {t.name}", tuple(entries))
 
 
-# Fixed predicate corpora for sampling schema obligations.
+# The fixed predicate corpus for sampling schema obligations; each kind
+# samples a prefix of it: successor predicates, then sums, then products.
+_CORPUS = tuple(parse_construction(f"(lambda x {body})") for body in (
+    "(= x x)", "(or (= x z) (exists y (= (s y) x)))", "(not (= (s x) x))",
+    "(= (+ x z) x)", "(= (+ x (s z)) (s x))", "(= (+ x x) (+ x x))",
+    "(= (* x z) z)", "(= (* x (s (s z))) (+ x x))",
+))
+_CORPUS_SIZE = dict(zip(SchemaKind, (3, 6, 8)))
+
 
 def _schema_predicates(kind: SchemaKind) -> list[Construction]:
-    x = Var("x")
-    base = [
-        Abs("x", Eq(x, x)),
-        Abs("x", Or(Eq(x, Zero()), Exists("y", Eq(Succ(Var("y")), x)))),
-        Abs("x", Not(Eq(Succ(x), x))),
-    ]
-    if kind is SchemaKind.INDUCTION_L1:
-        return base
-    plus = [
-        Abs("x", Eq(Plus(x, Zero()), x)),
-        Abs("x", Eq(Plus(x, Succ(Zero())), Succ(x))),
-        Abs("x", Eq(Plus(x, x), Plus(x, x))),
-    ]
-    if kind is SchemaKind.INDUCTION_L2:
-        return base + plus
-    times = [
-        Abs("x", Eq(Times(x, Zero()), Zero())),
-        Abs("x", Eq(Times(x, Succ(Succ(Zero()))), Plus(x, x))),
-    ]
-    return base + plus + times
+    return list(_CORPUS[:_CORPUS_SIZE[kind]])
 
 
 # Schema instances outside level 2 are model-checked at this size.
@@ -447,14 +436,15 @@ def check_morphism(m: Morphism, seed: int = 0) -> Report:
     """Translate each obligation along the symbol map and discharge it by
     its policy; schema obligations run on sampled predicate instances.
 
-    Each distinct piece of work is done once per call: a schema
-    instance is built once per predicate, a translated formula met again
-    under ``decide-l2`` reuses the first decision (the schema corpora
-    nest, so BT7-to-BT8 makes 8 decisions for its 17 decided entries),
-    and a model check evaluates the oracle once per distinct sample.
-    Every entry keeps its own subject, model checks are never shared,
-    and the draws, witnesses and report text are those of discharging
-    every entry afresh.  Nothing is kept between calls.
+    Each distinct piece of work is done once per call: a schema instance
+    is built, and decided at level 2, once per corpus index (the corpora
+    nest, so BT7-to-BT8 builds 8 instances for its 17 schema entries and
+    makes 6 decisions for its 15 decided ones), an obligation met again
+    under ``decide-l2`` reuses the decision of an equal formula, and a
+    model check evaluates the oracle once per distinct sample.  Every
+    entry keeps its own subject, model checks are never shared, and the
+    draws, witnesses and report text are those of discharging every entry
+    afresh.  Nothing is kept between calls.
     """
     rng = random.Random(seed)
     decided: dict[Construction, tuple[bool, str]] = {}
@@ -466,17 +456,20 @@ def check_morphism(m: Morphism, seed: int = 0) -> Report:
         else:
             entries.append(_discharge(ob.name, image, ob.policy, rng, decided))
     # Every corpus predicate passes its own level's gate, and an instance
-    # does not depend on the level otherwise, so one is built per predicate.
-    instances: dict[Construction, tuple[Construction, DischargePolicy]] = {}
+    # does not depend on the level otherwise, so one slot per corpus index
+    # holds a level-2 instance's verdict, or any other instance to check.
+    slots: list = [None] * len(_CORPUS)
     for kind in m.schema_obligations:
-        for idx, pred in enumerate(_schema_predicates(kind)):
-            if pred not in instances:
-                instance = translate(induction_instance(kind, pred), m.symbol_map)
-                instances[pred] = (
-                    instance, DecideL2() if is_fo(LangLevel.L2, instance) else _SCHEMA_CHECK)
-            instance, policy = instances[pred]
-            entries.append(
-                _discharge(f"{kind.value} instance {idx}", instance, policy, rng, decided))
+        for idx in range(_CORPUS_SIZE[kind]):
+            slot = slots[idx]
+            if slot is None:
+                slot = translate(induction_instance(kind, _CORPUS[idx]), m.symbol_map)
+                if is_fo(LangLevel.L2, slot):
+                    slot = decide_bt6(slot) is TruthValue.TRUE
+                slots[idx] = slot
+            subject = f"{kind.value} instance {idx}"
+            entries.append(ReportEntry(subject, "decide-l2", slot) if type(slot) is bool
+                           else _sampled(subject, "model-check", slot, _SCHEMA_CHECK, rng))
     return Report(f"morphism check for {m.name}", tuple(entries))
 
 
@@ -551,16 +544,23 @@ def _one_of(what: str, words: dict) -> tuple[Callable, Callable]:
     return read, words.__getitem__
 
 
-def _parse_tail(text: str, body: str) -> Construction:
-    try:  # positions count from the start of ``text``, of which ``body`` is the tail
-        return parse_construction(body)
+def _read_formula(text: str, body: str, what: str) -> Construction:
+    """The formula ``body``, the tail of ``text``; ``what`` names anything else."""
+    try:  # positions count from the start of ``text``
+        c = parse_construction(body)
     except ParseError as err:
         raise ParseError(err.message, err.position + len(text) - len(body)) from None
+    try:
+        if sort_of(c) is Sort.BOOL:
+            return c
+    except SortError:
+        pass
+    raise ValueError(f"{what} is not a formula")
 
 
 def _read_axiom(text: str) -> tuple[str, Construction]:
     name, _, body = text.partition(" ")
-    return name, _parse_tail(text, body)
+    return name, _read_formula(text, body, f"axiom {name}")
 
 
 def _read_map(text: str) -> tuple[str, str]:
@@ -581,7 +581,7 @@ def _read_obligation(text: str) -> Obligation:
         policy = RandomizedModelCheck(int(samples), int(bound))
     else:
         raise ValueError(f"unknown policy {word!r}")
-    return Obligation(name, _parse_tail(text, body), policy)
+    return Obligation(name, _read_formula(text, body, f"obligation {name}"), policy)
 
 
 def _write_obligation(ob: Obligation) -> str:

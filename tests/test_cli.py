@@ -398,6 +398,16 @@ def test_the_command_line_reads_decimals_of_any_length():
     ("morphism M\n  source   # no name\n", "line 2: source needs a value"),
     ("theory T\n  level 2\n  level\ntheory T\n", "line 3: level needs a value"),
     ("theory T\n  axiom open (= x z)\ntheory T\n", "line 1: axiom open of T is not closed"),
+    # An axiom or obligation must be a well-sorted formula, reported at
+    # the value's column.
+    ("theory T\n  level 2\n  axiom a (+ z z)\n", "line 3: axiom a is not a formula (at position 8)\n"),
+    ("theory T\n  level 2\n  axiom a (= tt z)\n", "line 3: axiom a is not a formula (at position 8)\n"),
+    ("morphism M\n  obligation t decide-l2 (+ z z)\n",
+     "line 2: obligation t is not a formula (at position 13)\n"),
+    ("morphism M\n  obligation t model-check 5 3 (+ z z)\n",
+     "line 2: obligation t is not a formula (at position 13)\n"),
+    ("morphism M\n  obligation t decide-l2 (lambda x (= x x))\n",
+     "line 2: obligation t is not a formula (at position 13)\n"),
 ])
 def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     path = tmp_path / "graph.txt"

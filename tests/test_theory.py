@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+from biforge.binum import of_nat, to_construction
 from biforge.errors import LanguageError, NotAnAbstraction, ParseError
 from biforge.presburger import TruthValue, bounded_oracle, compile_oracle, decide_bt6
 from biforge.recognizers import LangLevel, is_fo
@@ -21,7 +22,7 @@ from biforge.syntax import (
     free_vars, is_closed,
 )
 from biforge.recognizers import is_fo_abs
-from biforge.syntax import Exists, Not, Or, abs_body, quote_unary, substitute
+from biforge.syntax import Exists, Not, Or, abs_body, substitute
 
 x = Var("x")
 
@@ -488,8 +489,36 @@ def test_duplicate_obligations_around_model_checks_match_the_reference(monkeypat
     assert_same_as_reference(monkeypatch, morphisms["D"])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_corpus_index_reuse_across_kinds_under_a_swapped_map(monkeypatch, seed):
+    # Indices 0-2 are met under three kinds.  Under the swap, instances
+    # 3, 4, 5 and 7 hold products and are model-checked at each entry.
+    text = (
+        "morphism W\n  source BT7\n  target BT8\n  map + *\n  map * +\n"
+        "  schema-obligation induction-l3\n"
+        "  schema-obligation induction-l1\n"
+        "  schema-obligation induction-l3\n"
+    )
+    _, morphisms = parse_theory_graph(text)
+    report = check_morphism(morphisms["W"], seed)
+    assert [e.method for e in report.entries[:8]] == (
+        ["decide-l2"] * 3 + ["model-check[200x16]"] * 3 + ["decide-l2", "model-check[200x16]"])
+    assert len(report.entries) == 19
+    assert_same_as_reference(monkeypatch, morphisms["W"], seed)
+
+
 def test_bt7_to_bt8_decides_and_samples_each_distinct_case_once(monkeypatch):
-    decisions, oracle_calls, instances = [], [], []
+    decisions, oracle_calls, instances, implies_hashes, hashing = [], [], [], [], []
+    spine_hash = Implies.__hash__
+
+    def counting_hash(node):  # counts hashes not made inside another Implies hash
+        if not hashing:
+            implies_hashes.append(node)
+        hashing.append(node)
+        try:
+            return spine_hash(node)
+        finally:
+            hashing.pop()
 
     def counting_instance(kind, pred):
         instances.append(pred)
@@ -515,9 +544,13 @@ def test_bt7_to_bt8_decides_and_samples_each_distinct_case_once(monkeypatch):
     assert (len(decisions), len(oracle_calls)) == (17, 2002)
     decisions.clear()
     oracle_calls.clear()
+    monkeypatch.setattr(Implies, "__hash__", counting_hash)
     check_morphism(m)
+    monkeypatch.undo()
     assert (len(decisions), len(oracle_calls), len(instances)) == (8, 692, 8)
     assert len(set(decisions)) == 8
+    # Schema instances are reused by corpus index, not looked up by hash.
+    assert len(implies_hashes) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +565,15 @@ def _sum_of(names):
     return term
 
 
-@pytest.mark.parametrize("bound", [0, 1, 31, 32, 63, 64, 1000])
+# Bounds from 2**32 - 1 up draw 33, 33, 41 and 65 bits: two or three 32-bit words each.
+@pytest.mark.parametrize("bound", [0, 1, 31, 32, 63, 64, 1000, 2**32 - 1, 2**32, 2**40 + 3, 2**64])
 def test_model_check_draws_what_a_randint_loop_draws(bound):
     outcomes = set()
     for names in ((), ("x",), ("x", "y"), ("x", "y", "x"), ("y", "x", "w")):
         t = _sum_of(names)
         matrices = (
             Eq(Plus(t, Zero()), t),  # true
-            Not(Eq(t, quote_unary(bound // 2))),  # false where the sum is bound // 2
+            Not(Eq(t, to_construction(of_nat(bound // 2)))),  # false where the sum is bound // 2
             Not(Eq(Times(t, t), t)),  # false where the sum is 0 or 1
         )
         for matrix in matrices:
