@@ -241,8 +241,10 @@ def from_construction(c: Construction) -> BinNum:
 # A rule gets the operands of a redex ``a + b`` and returns None, the
 # sum, or ``(u, v, *after)``: the sum is ``u + v`` followed by each step
 # of ``after`` in turn, a step being the ``(1)`` numeral term (add one)
-# or a digit term (put a layer with that low digit on top).  Rules are
-# tried in their stated order; the first stuck redex aborts the rewrite.
+# or a digit term (put a layer with that low digit on top).  The first
+# rule in stated order that fires on a redex depends only on the shapes
+# of its operands, so the engine picks it from a table derived from that
+# order; the first stuck redex aborts the rewrite.
 
 _ZERO2 = Plus(Plus(_ZERO, _ZERO), _ZERO)   # the (0) numeral term
 _ONE2 = Plus(Plus(_ZERO, _ZERO), _ONE)     # the (1) numeral term
@@ -314,12 +316,25 @@ _RULES = (
     _one_rule(False, _D1, carry=True),     # [u 1] + (1) = [u+(1) 0]
     _one_rule(True, _D0, carry=False),     # (1) + [u 0] = [u 1]
     # Stated with the same left-hand side as the previous rule, so it
-    # never fires under first-match order; kept for rule-set fidelity.
+    # never fires under first-match order and _FIRST_RULE never chooses
+    # it; kept for rule-set fidelity.
     _one_rule(True, _D0, carry=True),      # (1) + [u 0] = [u+(1) 0]
     _binary_rule(_D0, _D0, carry=False),   # [u 0] + [v 0] = [u+v 0]
     _binary_rule(_D0, _D1, carry=False),   # [u 0] + [v 1] = [u+v 1]
     _binary_rule(_D1, _D0, carry=False),   # [u 1] + [v 0] = [u+v 1]
     _binary_rule(_D1, _D1, carry=True),    # [u 1] + [v 1] = [(u+v)+(1) 0]
+)
+
+# One numeral term of each operand shape, by index: (0), (1), [u 0], [u 1].
+_SHAPES = (_ZERO2, _ONE2, _TWO2, Plus(Plus(_ONE2, _ONE2), _ONE))
+
+# At ``4 * i + j``, the index in _RULES of the first rule in stated order
+# that fires on operands of shapes i and j (every guard reads only the
+# shapes), or None for (1) + [u 1], which no rule covers.  The shadowed
+# rule 7 is never chosen.
+_FIRST_RULE = tuple(
+    next((i for i, rule in enumerate(_RULES) if rule(a, b) is not None), None)
+    for a in _SHAPES for b in _SHAPES
 )
 
 
@@ -329,21 +344,27 @@ def _literal(c: Construction) -> str:
 
 
 def _reduce(a: Construction, b: Construction) -> Construction:
-    """Rewrite the redex ``a + b`` to a numeral term, innermost first."""
+    """Rewrite the redex ``a + b`` to a numeral term, innermost first.
+    Each redex's rule is looked up in ``_FIRST_RULE`` by its operands'
+    shapes, and read from ``_RULES`` at call time."""
     steps: list[Construction] = []  # waiting steps, the next one last
     while True:
-        for rule in _RULES:
-            out = rule(a, b)
-            if out is not None:
-                break
-        else:
+        i = _FIRST_RULE[(type(a.lhs.lhs) is not Zero) << 3 | (type(a.rhs) is Succ) << 2
+                        | (type(b.lhs.lhs) is not Zero) << 1 | (type(b.rhs) is Succ)]
+        if i is None:
             raise StuckRewrite(Plus(a, b), f"(bplus {_literal(a)} {_literal(b)})")
+        out = _RULES[i](a, b)
         if type(out) is tuple:
-            a, b, *after = out
-            steps += reversed(after)
+            a, b = out[0], out[1]
+            steps += out[:1:-1]  # the steps after ``u + v``, the next one last
             continue
         while steps and steps[-1] is not _ONE2:
-            out = Plus(Plus(out, out), steps.pop())
+            inner = _new(Plus)
+            _set_lhs(inner, out)
+            _set_rhs(inner, out)
+            out = _new(Plus)
+            _set_lhs(out, inner)
+            _set_rhs(out, steps.pop())
         if not steps:
             return out
         a, b = out, steps.pop()
@@ -352,7 +373,10 @@ def _reduce(a: Construction, b: Construction) -> Construction:
 def bplus_rewrite(a: Construction, b: Construction) -> Construction:
     """Add two numeral terms by conditional rewriting.
 
-    Raises :class:`StuckRewrite` when the rule set covers no redex; the
+    Each redex is rewritten by the first rule, in stated order, that
+    fires on its operands' shapes, taken from a table derived from that
+    order; the shadowed rule 7 is never chosen.  Raises
+    :class:`StuckRewrite` when the rule set covers no redex; the
     exception's ``term`` is the stuck redex ``Plus(x, y)``, kept as a
     completeness counterexample.
     """

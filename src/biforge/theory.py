@@ -73,6 +73,14 @@ class Transformer(_Record):
     __slots__ = ("name", "tag")
 
 
+def _is_formula(c: Construction) -> bool:
+    """Whether ``c`` is well sorted, of sort bool."""
+    try:
+        return sort_of(c) is Sort.BOOL
+    except SortError:
+        return False
+
+
 class BiformTheory(_Record):
     """A theory; its ``level`` is None for the higher-order theory."""
 
@@ -81,6 +89,8 @@ class BiformTheory(_Record):
 
     def __post_init__(self):
         for axiom_name, formula in self.axioms:
+            if not _is_formula(formula):
+                raise ValueError(f"axiom {axiom_name} of {self.name} is not a formula")
             if free_vars(formula):
                 raise ValueError(f"axiom {axiom_name} of {self.name} is not closed")
             if self.level is not None and not is_fo(self.level, formula):
@@ -122,6 +132,10 @@ DischargePolicy = Union[DecideL2, RandomizedModelCheck]
 
 class Obligation(_Record):
     __slots__ = ("name", "formula", "policy")
+
+    def __post_init__(self):
+        if not _is_formula(self.formula):
+            raise ValueError(f"obligation {self.name} is not a formula")
 
 
 class Morphism(_Record):
@@ -550,12 +564,9 @@ def _read_formula(text: str, body: str, what: str) -> Construction:
         c = parse_construction(body)
     except ParseError as err:
         raise ParseError(err.message, err.position + len(text) - len(body)) from None
-    try:
-        if sort_of(c) is Sort.BOOL:
-            return c
-    except SortError:
-        pass
-    raise ValueError(f"{what} is not a formula")
+    if not _is_formula(c):
+        raise ValueError(f"{what} is not a formula")
+    return c
 
 
 def _read_axiom(text: str) -> tuple[str, Construction]:

@@ -377,6 +377,86 @@ def test_rule_census_on_all_six_digit_pairs(monkeypatch):
     assert stuck == 1302
 
 
+# The engine's rule table, derived apart from it: operand shapes by
+# index are (0), (1), [u 0] and [u 1], and the table holds, at
+# ``4 * i + j``, the index in ``_RULES`` of the first rule that fires on
+# a redex of shapes i and j, or None.
+
+def _term_shape(n: BinNum) -> int:
+    return 2 * (len(n) > 1) + n.digits[0]
+
+
+def _value_shape(n: int) -> int:
+    return n if n < 2 else 2 + n % 2
+
+
+def _predicted_stuck(table, a: int, b: int) -> bool:
+    """Whether rewriting ``a + b``, canonical numerals, meets a redex the
+    table covers with no rule: the rule it names is followed on values,
+    through the redexes of the rule's stated right-hand side, innermost
+    first.  Every result of a canonical redex is canonical again."""
+    i = table[4 * _value_shape(a) + _value_shape(b)]
+    u, v = a >> 1, b >> 1
+    if i is None:
+        return True
+    if i == 4:  # [u 1] + (1) = [u+(1) 0]
+        return _predicted_stuck(table, u, 1)
+    if i == 6:  # (1) + [u 0] = [u+(1) 0]
+        return _predicted_stuck(table, v, 1)
+    if i in (7, 8, 9):  # [u d] + [v e] = [u+v d+e]
+        return _predicted_stuck(table, u, v)
+    if i == 10:  # [u 1] + [v 1] = [(u+v)+(1) 0]
+        return _predicted_stuck(table, u, v) or _predicted_stuck(table, u + v, 1)
+    return False  # the other rules give the sum at once
+
+
+def check_first_rule_table(table):
+    numerals = list(all_numerals(4))
+    first = {}  # shape pair -> the first rules seen on its operand pairs
+    for a in numerals:
+        for b in numerals:
+            ta, tb = to_construction(a), to_construction(b)
+            i = next((i for i, rule in enumerate(binum._RULES) if rule(ta, tb) is not None), None)
+            first.setdefault(4 * _term_shape(a) + _term_shape(b), set()).add(i)
+    assert all(len(seen) == 1 for seen in first.values()), first
+    assert tuple(first[k].pop() for k in range(16)) == table
+    assert [k for k in range(16) if table[k] is None] == [4 * 1 + 3]  # (1) + [u 1]
+    assert 6 not in table  # rule 7, shadowed by rule 6
+    predicted = {(a, b) for a in range(64) for b in range(64) if _predicted_stuck(table, a, b)}
+    assert predicted == {(a, b) for a in range(64) for b in range(64) if expected_stuck(a, b)}
+
+
+def test_the_first_rule_table_is_the_stated_order_probed_on_every_operand_shape():
+    check_first_rule_table(binum._FIRST_RULE)
+    last_first = tuple(
+        next((i for i in reversed(range(len(binum._RULES)))
+              if binum._RULES[i](a, b) is not None), None)
+        for a in binum._SHAPES for b in binum._SHAPES
+    )
+    with pytest.raises(AssertionError):
+        check_first_rule_table(last_first)
+
+
+def test_rewrite_matches_the_recursive_reference_beyond_six_digits():
+    # 300 pairs of 7-128 digits, high zeros included.
+    rng = random.Random(128)
+    stuck = 0
+    for _ in range(300):
+        a, b = (BinNum(rng.getrandbits(w), w) for w in (rng.randint(7, 128), rng.randint(7, 128)))
+        ta, tb = to_construction(a), to_construction(b)
+        try:
+            expected = reference_bplus_rewrite(ta, tb)
+        except StuckRewrite as err:
+            stuck += 1
+            with pytest.raises(StuckRewrite) as info:
+                bplus_rewrite(ta, tb)
+            assert info.value.rendered == err.rendered
+            assert info.value.term == Plus(err.term.lhs, err.term.rhs)
+        else:
+            assert bplus_rewrite(ta, tb) == expected, (a, b)
+    assert 0 < stuck < 300, stuck
+
+
 def test_meaning_formulas_small():
     for a in all_numerals(5):
         va = to_nat(a)

@@ -111,6 +111,23 @@ def test_level_gating_asserted_at_construction():
         )
 
 
+def test_a_term_is_no_axiom_and_no_obligation():
+    # A level-2 term passes is_fo, which checks the language level, not the
+    # sort; before the record checked the sort, check_axioms of this theory
+    # raised SortError from decide_bt6.
+    term = Plus(Zero(), Zero())
+    assert is_fo(LangLevel.L2, term)
+    with pytest.raises(ValueError, match=r"^axiom a of T is not a formula$"):
+        BiformTheory("T", LangLevel.L2, (), (("a", term),))
+    ill_sorted = Eq(TT(), Zero())
+    with pytest.raises(ValueError, match=r"^axiom a of T is not a formula$"):
+        BiformTheory("T", None, (), (("a", ill_sorted),))
+    for value in (term, ill_sorted, Abs("x", Eq(x, x))):
+        with pytest.raises(ValueError, match=r"^obligation t is not a formula$"):
+            Obligation("t", value, DecideL2())
+    assert Obligation("t", Eq(term, Zero()), DecideL2()).formula == Eq(term, Zero())
+
+
 def test_check_axioms_bt2():
     report = check_axioms(theory("BT2"))
     assert report.ok
