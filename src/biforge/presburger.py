@@ -51,49 +51,8 @@ class LinearTerm(_Record):
     def make(coeffs: Mapping[str, int], const: int) -> "LinearTerm":
         return LinearTerm(tuple(sorted((v, c) for v, c in coeffs.items() if c)), const)
 
-    @staticmethod
-    def constant(k: int) -> "LinearTerm":
-        return LinearTerm((), k)
-
-    @staticmethod
-    def variable(v: str, coeff: int = 1) -> "LinearTerm":
-        return LinearTerm.make({v: coeff}, 0)
-
-    def coeff(self, v: str) -> int:
-        for name, c in self.coeffs:
-            if name == v:
-                return c
-        return 0
-
-    def drop(self, v: str) -> "LinearTerm":
-        return LinearTerm(tuple(p for p in self.coeffs if p[0] != v), self.const)
-
-    def __add__(self, other: "LinearTerm") -> "LinearTerm":
-        d = dict(self.coeffs)
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) + c
-        return LinearTerm.make(d, self.const + other.const)
-
-    def __sub__(self, other: "LinearTerm") -> "LinearTerm":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LinearTerm":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "LinearTerm":
-        if k == 0:
-            return LinearTerm((), 0)
-        return LinearTerm(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
-
-    def shift(self, k: int) -> "LinearTerm":
-        return LinearTerm(self.coeffs, self.const + k)
-
     def value(self, env: Mapping[str, int]) -> int:
         return self.const + sum(c * env[v] for v, c in self.coeffs)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
 
 
 class EqZero(_Record):
@@ -112,12 +71,10 @@ class Divides(_Record):
             raise ValueError("divisor must be positive")
 
 
-LinearAtom = Union[EqZero, LtZero, Divides]
-
-
 # ---------------------------------------------------------------------------
 # Quantifier-structured formulas over linear atoms (negation-normal form:
-# negation never appears as a node, it is pushed into the atoms).
+# negation never appears as a node, it is pushed into the atoms), the
+# public form of the programs below.
 
 class QTrue(_Record):
     __slots__ = ()
@@ -153,111 +110,149 @@ _TRUE = QTrue()
 _FALSE = QFalse()
 
 
-def q_and(l: QFormula, r: QFormula) -> QFormula:
-    if type(l) is QFalse or type(r) is QFalse:
-        return _FALSE
-    if type(l) is QTrue:
-        return r
-    if type(r) is QTrue:
-        return l
-    return QAnd(l, r)
+# ---------------------------------------------------------------------------
+# Programs over one atom table.  An atom is keyed by ``(kind, coeffs,
+# const)`` of its term ``t``: kind 0 for ``t < 0``, -1 for ``t = 0`` and
+# ``d`` for ``d | t``.  A program is an atom's index in the table of its
+# call, ``('&', l, r)``, ``('|', l, r)``, ``('A', v, body)``, ``('E', v,
+# body)``, or a constant ``_T`` or ``_F`` (not ``True`` and ``False``,
+# which equal atoms 1 and 0).  Programs are equal exactly when their
+# formulas are, and hash and compare as plain tuples.
+
+_T, _F = object(), object()
 
 
-def q_or(l: QFormula, r: QFormula) -> QFormula:
-    if type(l) is QTrue or type(r) is QTrue:
-        return _TRUE
-    if type(l) is QFalse:
-        return r
-    if type(r) is QFalse:
-        return l
-    return QOr(l, r)
+class _Table(dict):
+    """The atoms of one call: maps a key to its index, and enters a key
+    not seen yet at the next index; ``atoms[i]`` is the key of atom ``i``
+    and ``negs[i]`` the program of its negation, once asked for."""
+
+    __slots__ = ("atoms", "negs")
+
+    def __init__(self):
+        self.atoms, self.negs = [], {}
+
+    def __missing__(self, key: tuple) -> int:
+        i = self[key] = len(self.atoms)
+        self.atoms.append(key)
+        return i
 
 
-def _gather(cls, f: QFormula, seen: set, out: list) -> None:
-    """The parts of ``f`` under nested ``cls`` nodes, each part not in
-    ``seen`` added to it and to ``out``; a part is hashed once."""
-    if type(f) is cls:
-        _gather(cls, f.lhs, seen, out)
-        _gather(cls, f.rhs, seen, out)
-    else:
-        n = len(seen)
-        seen.add(f)
-        if len(seen) > n:
-            out.append(f)
-
-
-def q_or_all(parts: list[QFormula]) -> QFormula:
-    """Disjunction with constant folding, flattening and duplicate
-    elimination; elimination residues shrink substantially under it."""
-    seen: set = set()
-    flat: list[QFormula] = []
-    for p in parts:
-        _gather(QOr, p, seen, flat)
-    kept = [p for p in flat if type(p) is not QFalse]
-    if any(type(p) is QTrue for p in kept):
-        return _TRUE
-    if not kept:
-        return _FALSE
-    while len(kept) > 1:  # balanced, so depth grows with the log of the width
-        kept = [QOr(*kept[i:i + 2]) if i + 1 < len(kept) else kept[i]
-                for i in range(0, len(kept), 2)]
-    return kept[0]
-
-
-def _mk_eq(t: LinearTerm) -> QFormula:
-    if t.is_constant:
-        return _TRUE if t.const == 0 else _FALSE
-    g = gcd(t.const, *(c for _, c in t.coeffs))
-    if g > 1:
-        t = LinearTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
-    return QAtom(EqZero(t))
-
-
-def _atom(d: int, coeffs: tuple, g: int, k: int) -> QFormula:
-    """``d | t``, or ``t < 0`` when ``d`` is 0, of the term ``t`` of
-    ``coeffs``, whose gcd is ``g``, and constant ``k``: a constant atom
-    folds to ``QTrue`` or ``QFalse``, any other is divided by
-    ``gcd(d, g, k)``, and ``QTrue`` when that is ``d``."""
-    if not coeffs:
-        return _TRUE if (k % d == 0 if d else k < 0) else _FALSE
-    g = gcd(d, g, k)
-    if g == d:
-        return _TRUE
-    if g > 1:
-        coeffs, k = tuple((u, c // g) for u, c in coeffs), k // g
-    t = LinearTerm(coeffs, k)
-    return QAtom(Divides(d // g, t) if d else LtZero(t))
-
-
-def negate(f: QFormula) -> QFormula:
-    """Negation-normal-form complement; negated divisibility expands into
-    a disjunction over the nonzero remainders."""
+def _program(f: QFormula, table: _Table):
+    """The program of the formula ``f``, node for node, folding nothing."""
     tf = type(f)
     if tf is QAtom:
         a = f.atom
         ta = type(a)
         if ta is LtZero or ta is EqZero or ta is Divides:
-            cs, k = a.term.coeffs, a.term.const
-            g = gcd(*(c for _, c in cs))
-            if ta is Divides:
-                return q_or_all([_atom(a.d, cs, g, k + r) for r in range(1, a.d)])
-            neg = tuple((u, -c) for u, c in cs)
-            if ta is LtZero:
-                return _atom(0, neg, g, -1 - k)
-            return q_or(_atom(0, cs, g, k), _atom(0, neg, g, -k))
-    if tf is QOr:
-        return q_and(negate(f.lhs), negate(f.rhs))
-    if tf is QAnd:
-        return q_or(negate(f.lhs), negate(f.rhs))
-    if tf is QTrue:
-        return _FALSE
-    if tf is QFalse:
-        return _TRUE
-    if tf is QForall:
-        return QExists(f.var, negate(f.body))
-    if tf is QExists:
-        return QForall(f.var, negate(f.body))
+            kind = 0 if ta is LtZero else -1 if ta is EqZero else a.d
+            return table[kind, a.term.coeffs, a.term.const]
+    if tf is QAnd or tf is QOr:
+        return "&" if tf is QAnd else "|", _program(f.lhs, table), _program(f.rhs, table)
+    if tf is QForall or tf is QExists:
+        return "A" if tf is QForall else "E", f.var, _program(f.body, table)
+    if tf is QTrue or tf is QFalse:
+        return _T if tf is QTrue else _F
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _formula(p, table: _Table) -> QFormula:
+    """The formula of the program ``p``, node for node."""
+    if type(p) is int:
+        d, cs, k = table.atoms[p]
+        t = LinearTerm(cs, k)
+        return QAtom(LtZero(t) if d == 0 else EqZero(t) if d < 0 else Divides(d, t))
+    if type(p) is not tuple:
+        return _TRUE if p is _T else _FALSE
+    op, l, r = p
+    if op == "A" or op == "E":
+        return (QForall if op == "A" else QExists)(l, _formula(r, table))
+    return (QAnd if op == "&" else QOr)(_formula(l, table), _formula(r, table))
+
+
+def _and(l, r):
+    return _F if l is _F or r is _F else r if l is _T else l if r is _T else ("&", l, r)
+
+
+def _or(l, r):
+    return _T if l is _T or r is _T else r if l is _F else l if r is _F else ("|", l, r)
+
+
+def _gather(p, seen: set, out: list) -> None:
+    """The parts of ``p`` under nested ``|`` nodes, each part not in
+    ``seen`` added to it and to ``out``."""
+    if type(p) is tuple and p[0] == "|":
+        _gather(p[1], seen, out)
+        _gather(p[2], seen, out)
+    else:
+        n = len(seen)
+        seen.add(p)
+        if len(seen) > n:
+            out.append(p)
+
+
+def _or_all(parts: list):
+    """Disjunction with constant folding, flattening and duplicate
+    elimination; elimination residues shrink substantially under it."""
+    seen, kept = set(), []
+    for p in parts:
+        _gather(p, seen, kept)
+    if _T in seen:
+        return _T
+    kept = [p for p in kept if p is not _F]
+    if not kept:
+        return _F
+    while len(kept) > 1:  # balanced, so depth grows with the log of the width
+        kept = [("|", kept[i], kept[i + 1]) if i + 1 < len(kept) else kept[i]
+                for i in range(0, len(kept), 2)]
+    return kept[0]
+
+
+def _atom(d: int, coeffs: tuple, g: int, k: int, table: _Table):
+    """``d | t``, or ``t < 0`` when ``d`` is 0, of the term ``t`` of
+    ``coeffs``, whose gcd is ``g``, and constant ``k``: a constant atom
+    folds to ``_T`` or ``_F``; any other is divided by ``gcd(d, g, k)``,
+    is ``_T`` when that is ``d``, and else is its index in ``table``."""
+    if not coeffs:
+        return _T if (k % d == 0 if d else k < 0) else _F
+    g = gcd(d, g, k)
+    if g == d:
+        return _T
+    if g > 1:
+        coeffs, k = tuple((u, c // g) for u, c in coeffs), k // g
+    return table[d // g, coeffs, k]
+
+
+def _negate(p, table: _Table):
+    """``negate`` on programs; an atom's complement is built once per table."""
+    if type(p) is int:
+        neg = table.negs.get(p)
+        if neg is None:
+            d, cs, k = table.atoms[p]
+            g = gcd(*(c for _, c in cs))
+            if d > 0:
+                neg = _or_all([_atom(d, cs, g, k + r, table) for r in range(1, d)])
+            else:
+                minus = tuple((u, -c) for u, c in cs)
+                neg = (_atom(0, minus, g, -1 - k, table) if d == 0 else
+                       _or(_atom(0, cs, g, k, table), _atom(0, minus, g, -k, table)))
+            table.negs[p] = neg
+        return neg
+    if type(p) is not tuple:
+        return _F if p is _T else _T
+    op, l, r = p
+    if op == "|":
+        return _and(_negate(l, table), _negate(r, table))
+    if op == "&":
+        return _or(_negate(l, table), _negate(r, table))
+    return "E" if op == "A" else "A", l, _negate(r, table)
+
+
+def negate(f: QFormula) -> QFormula:
+    """Negation-normal-form complement; negated divisibility expands into
+    a disjunction over the nonzero remainders."""
+    table = _Table()
+    return _formula(_negate(_program(f, table), table), table)
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +273,38 @@ def linearize(c: Construction) -> QFormula:
         raise LanguageError("linearize needs a first-order formula over 0, successor and +")
     if sort is not Sort.BOOL:
         raise SortError("linearize needs a formula, not a term")
-    return _linearize(c, False, None, ())
+    table = _Table()
+    return _formula(_linearize(c, False, None, (), table), table)
 
 
 def _linearize(c: Construction, neg: bool, env: Optional[Environment],
-               bound: tuple[str, ...]) -> QFormula:
-    """``c``, or its negation when ``neg``, over linear atoms.  Given an
-    ``env``, each variable not in ``bound``, the names bound above ``c``,
-    is replaced by its value there."""
+               bound: tuple[str, ...], table: _Table):
+    """The program of ``c``, or of its negation when ``neg``, over atoms
+    entered into ``table``.  Given an ``env``, each variable not in
+    ``bound``, the names bound above ``c``, is replaced by its value
+    there."""
     while type(c) is Not:
         c, neg = c.arg, not neg
     tc = type(c)
     if tc is Eq:
-        t = _mk_eq(_difference(c.lhs, c.rhs, env, bound))
-        return negate(t) if neg else t
+        t = _difference(c.lhs, c.rhs, env, bound)
+        cs, k = t.coeffs, t.const
+        if not cs:
+            p = _T if k == 0 else _F
+        else:
+            g = gcd(k, *(a for _, a in cs))
+            p = table[-1, cs if g == 1 else tuple((u, a // g) for u, a in cs), k // g]
+        return _negate(p, table) if neg else p
     if tc is And or tc is Or or tc is Implies:
         # negation swaps ∧ and ∨, and l ⇒ r is ¬l ∨ r
-        join = q_and if (tc is And) != neg else q_or
-        return join(_linearize(c.lhs, neg != (tc is Implies), env, bound),
-                    _linearize(c.rhs, neg, env, bound))
+        join = _and if (tc is And) != neg else _or
+        return join(_linearize(c.lhs, neg != (tc is Implies), env, bound, table),
+                    _linearize(c.rhs, neg, env, bound, table))
     if tc is Forall or tc is Exists:
-        body = _linearize(c.body, neg, env, (*bound, c.var))
-        return QForall(c.var, body) if (tc is Forall) != neg else QExists(c.var, body)
+        body = _linearize(c.body, neg, env, (*bound, c.var), table)
+        return "A" if (tc is Forall) != neg else "E", c.var, body
     if tc is TT or tc is FF:
-        return _TRUE if (tc is TT) != neg else _FALSE
+        return _T if (tc is TT) != neg else _F
     raise SortError(f"not a formula: {c!r}")
 
 
@@ -320,7 +323,7 @@ def _difference(l: Construction, r: Construction, env: Optional[Environment],
         if type(t) is Plus:
             stack += [(t.lhs, 2 * k)] if t.rhs is t.lhs else [(t.lhs, k), (t.rhs, k)]
         elif type(t) is Var and env is not None and t.name not in bound:
-            const += k * env[t.name]  # before _mk_* reduce it by the gcd
+            const += k * env[t.name]  # before the atom is reduced by the gcd
         elif type(t) is Var:
             coeffs[t.name] = coeffs.get(t.name, 0) + k
     return LinearTerm.make(coeffs, const)
@@ -336,93 +339,78 @@ class Elimination(_Record):
     __slots__ = ("var", "tests", "delta")
 
 
-def _ordering(cs: tuple, g: int, k: int) -> tuple:
-    """The table key of ``t < 0`` for coefficients ``cs`` of gcd ``g`` and
-    constant ``k``, divided by ``gcd(g, k)`` as ``_atom`` divides it."""
-    g = gcd(g, k)
-    return 0, (cs if g == 1 else tuple((u, c // g) for u, c in cs)), k // g
+def _compile(p, v: str, local: dict[int, int], table: _Table):
+    """The matrix ``p`` as a program for ``_place``, folded as ``_and``
+    and ``_or`` fold; a constant that absorbs its node ends the walk
+    there.  An atom on ``v``, read off its key, enters ``local`` once,
+    its index in ``table`` mapped to the next local index, its leaf; an
+    equality on ``v`` enters as ``t - 1 < 0`` and ``-t - 1 < 0``, and a
+    subtree folded away takes its atoms out again.  Atom ``i`` not on
+    ``v`` has the leaf ``~i``."""
+    if type(p) is int:
+        d, cs, k = table.atoms[p]
+        if not dict(cs).get(v):
+            return ~p
+        if d >= 0:
+            return local.setdefault(p, len(local))
+        g = gcd(*(c for _, c in cs))
+        lo = _atom(0, cs, g, k - 1, table)
+        hi = _atom(0, tuple((u, -c) for u, c in cs), g, -1 - k, table)
+        return "&", local.setdefault(lo, len(local)), local.setdefault(hi, len(local))
+    if type(p) is not tuple:
+        return p
+    op, l, r = p
+    if op != "&" and op != "|":
+        raise AssertionError("quantifier inside a matrix")
+    n = len(local)
+    zero, one = (_F, _T) if op == "&" else (_T, _F)
+    l = _compile(l, v, local, table)
+    if l is zero:
+        return l
+    r = _compile(r, v, local, table)
+    if r is zero:
+        while len(local) > n:  # atoms enter only at the end: drop the ones l entered
+            local.popitem()
+        return r
+    return r if l is one else l if r is one else (op, l, r)
 
 
-def _compile(f: QFormula, v: str, table: dict[tuple, int]):
-    """``f`` as a program of nested ``(is_and, lhs, rhs)`` tuples, folded
-    as ``q_and`` and ``q_or`` fold; a constant that absorbs its node ends
-    the walk there.  Each distinct atom on ``v`` goes into ``table`` once,
-    keyed by the tuple ``(divisor or 0, coeffs, const)``, equal to another
-    exactly when the atoms are, and its leaf is its index there; an
-    equality on ``v`` goes in as the keys of ``t - 1 < 0`` and
-    ``-t - 1 < 0``, and a subtree folded away takes its keys out again.
-    Any other leaf is left as it is."""
-    tf = type(f)
-    if tf is QAnd or tf is QOr:
-        n = len(table)
-        zero, one = (QFalse, QTrue) if tf is QAnd else (QTrue, QFalse)
-        l = _compile(f.lhs, v, table)
-        if type(l) is zero:
-            return l
-        r = _compile(f.rhs, v, table)
-        if type(r) is zero:
-            while len(table) > n:  # keys enter only at the end: drop the ones l entered
-                table.popitem()
-            return r
-        return r if type(l) is one else l if type(r) is one else (tf is QAnd, l, r)
-    if tf is QAtom:
-        a = f.atom
-        try:
-            t = a.term
-        except AttributeError:
-            raise TypeError(f"not a formula: {f!r}") from None
-        if t.coeff(v):
-            cs, k = t.coeffs, t.const
-            if type(a) is not EqZero:
-                return table.setdefault((a.d if type(a) is Divides else 0, cs, k), len(table))
-            g = gcd(*(c for _, c in cs))
-            lo = _ordering(cs, g, k - 1)
-            hi = _ordering(tuple((u, -c) for u, c in cs), g, -1 - k)
-            return True, table.setdefault(lo, len(table)), table.setdefault(hi, len(table))
-    if tf is QAtom or tf is QTrue or tf is QFalse:
-        return f
-    raise AssertionError("quantifier inside a matrix")
-
-
-def _place(program, moved: list, x: int, placed: list) -> QFormula:
-    """The formula of ``program`` at the candidate constant ``x``, folded:
-    index ``i`` stands for the atom of ``moved[i] = (d, c, coeffs, k, g)``
-    at constant ``k + c * x``, built the first time the fold reaches it
-    and kept in ``placed``.  A conjunction stops at a false conjunct and
-    a disjunction at a true one."""
-    if type(program) is not tuple:
-        if type(program) is not int:
-            return program
-        f = placed[program]
-        if f is None:
+def _place(program, moved: list, x: int, placed: list, table: _Table):
+    """``program`` at the candidate constant ``x``, folded: local index
+    ``i`` is the atom of ``moved[i] = (d, c, coeffs, k, g)`` at constant
+    ``k + c * x``, entered into ``table`` and ``placed`` when the fold
+    first reaches it, and ``~j`` is atom ``j``.  A conjunction stops at
+    a false conjunct and a disjunction at a true one."""
+    if type(program) is int:
+        if program < 0:
+            return ~program
+        p = placed[program]
+        if p is None:
             d, c, coeffs, k, g = moved[program]
-            f = placed[program] = _atom(d, coeffs, g, k + c * x)
-        return f
-    is_and, l, r = program
-    l = _place(l, moved, x, placed)
-    if is_and:
-        return l if type(l) is QFalse else q_and(l, _place(r, moved, x, placed))
-    return l if type(l) is QTrue else q_or(l, _place(r, moved, x, placed))
+            p = placed[program] = _atom(d, coeffs, g, k + c * x, table)
+        return p
+    if type(program) is not tuple:
+        return program
+    op, l, r = program
+    l = _place(l, moved, x, placed, table)
+    if op == "&":
+        return l if l is _F else _and(l, _place(r, moved, x, placed, table))
+    return l if l is _T else _or(l, _place(r, moved, x, placed, table))
 
 
 def _entry(key: tuple, v: str, m: int) -> tuple[int, int, tuple, int]:
-    """The atom of the table key ``(divisor or 0, coeffs, const)`` as
-    divisor, coefficient on ``m * v``, and the coefficients and constant
-    of its rest; the coefficient is 1 or -1, and 1 for a divisibility."""
+    """The atom of the key ``(divisor or 0, coeffs, const)`` as divisor,
+    coefficient on ``m * v``, and the coefficients and constant of its
+    rest; the coefficient is 1 or -1, and 1 for a divisibility."""
     d, cs, k = key
     s = m // dict(cs)[v]
     d, c, s = (d * abs(s), 1, s) if d else (0, 1 if s > 0 else -1, abs(s))
     return d, c, tuple((u, x * s) for u, x in cs if u != v), k * s
 
 
-def cooper_eliminate(
-    v: str,
-    matrix: QFormula,
-    _record: Optional[list[Elimination]] = None,
-) -> QFormula:
-    """Eliminate ``exists v`` from a quantifier-free matrix over the
-    naturals.  The result never mentions ``v`` and is equivalent over
-    natural-number assignments to the existential it replaces.
+def _cooper(v: str, matrix, record: Optional[list[Elimination]], table: _Table):
+    """``exists v`` of the quantifier-free program ``matrix`` eliminated;
+    each elimination appends its record to ``record`` when that is a list.
 
     The existential distributes over top-level disjunctions, processed
     left to right; each branch then gets its own, smaller test-point
@@ -430,39 +418,38 @@ def cooper_eliminate(
 
     The residue is the disjunction, over test points ``b`` and period
     steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  One
-    walk compiles the matrix, folded, into a program over a table of its
-    distinct atoms on ``v``, keyed by plain tuples, and the bound
-    ``-v - 1 < 0`` goes in as one more key.  Each key is split once into
-    ints: divisor, coefficient ``c`` unified to the lcm ``m``, and the
-    coefficients and constant of its rest.  Each distinct candidate
-    ``b + j`` is tried once, where its first pair comes.  Each rest is
-    merged with ``c * b`` once per distinct ``b.coeffs``, on tuples; per
-    candidate only the constants move.  Records are built only for what
-    leaves the step: the ``Elimination`` record, which lists every test
-    point, and the atoms of the residue, each when the fold of a branch
-    reaches it, and a constant atom not at all, so a ground branch folds
-    to ``QTrue`` or ``QFalse``.  The residue is ``QTrue`` as soon as one
-    branch folds to it.
+    walk compiles the matrix, folded, over its distinct atoms on ``v``,
+    and the bound ``-v - 1 < 0`` is one more.  Each of their keys is
+    split once into ints: divisor, coefficient ``c`` unified to the lcm
+    ``m``, and the coefficients and constant of its rest.  Each distinct
+    candidate ``b + j`` is tried once, where its first pair comes.  Each
+    rest is merged with ``c * b`` once per distinct ``b.coeffs``; per
+    candidate only the constants move.  A branch's atom is reduced and
+    entered into ``table`` when the fold reaches it, a constant one not
+    at all, so a ground branch folds to ``_T`` or ``_F``, and the first
+    ``_T`` ends the elimination.  The only record built is the
+    ``Elimination`` record, which lists every test point.
     """
-    if type(matrix) is QOr:
-        flat: list[QFormula] = []
-        _gather(QOr, matrix, set(), flat)
-        return q_or_all([cooper_eliminate(v, part, _record) for part in flat])
-    table: dict[tuple, int] = {}
-    program = _compile(matrix, v, table)
+    if type(matrix) is tuple and matrix[0] == "|":
+        flat: list = []
+        _gather(matrix, set(), flat)
+        return _or_all([_cooper(v, part, record, table) for part in flat])
+    local: dict[int, int] = {}
+    program = _compile(matrix, v, local, table)
     # Relativize to the naturals: v >= 0, i.e. -v - 1 < 0.  This always
     # contributes a lower bound, so the minus-infinity branch is empty.
-    if type(program) is not QFalse:
-        program = True, program, table.setdefault((0, ((v, -1),), -1), len(table))
-    m = lcm(*(abs(dict(cs)[v]) for _, cs, _ in table))
-    entries = [_entry(key, v, m) for key in table]
+    if program is not _F:
+        program = "&", program, local.setdefault(table[0, ((v, -1),), -1], len(local))
+    keys = [table.atoms[i] for i in local]
+    m = lcm(*(abs(dict(cs)[v]) for _, cs, _ in keys))
+    entries = [_entry(key, v, m) for key in keys]
     if m > 1:  # m | m * v
-        program = (True, program, len(entries))
+        program = "&", program, len(entries)
         entries.append((m, 1, (), 0))
     tests = sorted({(cs, k) for d, c, cs, k in entries if not d and c == -1})
     delta = lcm(*(d for d, *_ in entries if d))
-    if _record is not None:
-        _record.append(Elimination(v, tuple(LinearTerm(cs, k) for cs, k in tests), delta))
+    if record is not None:
+        record.append(Elimination(v, tuple(LinearTerm(cs, k) for cs, k in tests), delta))
 
     # per distinct b.coeffs, each distinct b.const + j, in the order its first pair comes
     candidates: dict[tuple, list[int]] = {}
@@ -480,29 +467,43 @@ def cooper_eliminate(
                 cs = tuple(sorted(p for p in merged.items() if p[1]))
             moved.append((d, c, cs, k, gcd(*(a for _, a in cs))))
         for x in xs:
-            branch = _place(program, moved, x, [None] * len(moved))
-            if type(branch) is QTrue:
-                return _TRUE
+            branch = _place(program, moved, x, [None] * len(moved), table)
+            if branch is _T:
+                return _T
             branches.append(branch)
-    return q_or_all(branches)
+    return _or_all(branches)
 
 
-def eliminate_quantifiers(
-    f: QFormula,
-    _record: Optional[list[Elimination]] = None,
-) -> QFormula:
-    """Innermost-first elimination; universals go through their duals."""
-    tf = type(f)
-    if tf is QExists:
-        return cooper_eliminate(f.var, eliminate_quantifiers(f.body, _record), _record)
-    if tf is QForall:
-        inner = eliminate_quantifiers(f.body, _record)
-        return negate(cooper_eliminate(f.var, negate(inner), _record))
-    if tf is QAnd:
-        return q_and(eliminate_quantifiers(f.lhs, _record), eliminate_quantifiers(f.rhs, _record))
-    if tf is QOr:
-        return q_or(eliminate_quantifiers(f.lhs, _record), eliminate_quantifiers(f.rhs, _record))
-    return f
+def cooper_eliminate(v: str, matrix: QFormula,
+                     _record: Optional[list[Elimination]] = None) -> QFormula:
+    """Eliminate ``exists v`` from a quantifier-free matrix over the
+    naturals.  The result never mentions ``v`` and is equivalent over
+    natural-number assignments to the existential it replaces.  Built
+    as records from ``_cooper``'s residue over a fresh atom table."""
+    table = _Table()
+    return _formula(_cooper(v, _program(matrix, table), _record, table), table)
+
+
+def _eliminate(p, record: Optional[list[Elimination]], table: _Table):
+    """Innermost-first elimination of the program ``p``."""
+    if type(p) is not tuple:
+        return p
+    op, l, r = p
+    if op == "E":
+        return _cooper(l, _eliminate(r, record, table), record, table)
+    if op == "A":
+        inner = _negate(_eliminate(r, record, table), table)
+        return _negate(_cooper(l, inner, record, table), table)
+    join = _and if op == "&" else _or
+    return join(_eliminate(l, record, table), _eliminate(r, record, table))
+
+
+def eliminate_quantifiers(f: QFormula,
+                          _record: Optional[list[Elimination]] = None) -> QFormula:
+    """Innermost-first elimination; universals go through their duals.
+    Built as records from ``_eliminate``'s residue over a fresh table."""
+    table = _Table()
+    return _formula(_eliminate(_program(f, table), _record, table), table)
 
 
 def evaluate(f: QFormula, env: Mapping[str, int]) -> bool:
@@ -535,25 +536,23 @@ _PROCEDURES = {
 }
 
 
-def _decide(
-    c: Construction,
-    e: Optional[Environment],
-    level: LangLevel,
-    record: Optional[list[Elimination]] = None,
-) -> TruthValue:
+def _decide(c: Construction, e: Optional[Environment], level: LangLevel,
+            record: Optional[list[Elimination]] = None) -> TruthValue:
     """Check that ``c`` is a formula of ``level`` and decide it, its free
     variables valued through ``e``.  The linearizing walk folds the values
     into the atoms' constants, giving the atoms of ``c`` grounded by unary
-    numerals."""
+    numerals, so the residue of the elimination, over one atom table, is
+    the program ``_T`` or ``_F``; the verdict is read off it."""
     name, language = _PROCEDURES[level]
     sort, used = _classify(c)
     if sort is not Sort.BOOL:
         raise SortError(f"{name} needs a formula")
     if used > level:
         raise LanguageError(f"{name} needs a first-order formula over {language}")
+    table = _Table()
     e = e if e is not None else Environment()
-    q = eliminate_quantifiers(_linearize(c, False, e, ()), record)
-    return TruthValue.of(evaluate(q, {}))
+    q = _eliminate(_linearize(c, False, e, (), table), record, table)
+    return TruthValue.of(q is _T)
 
 
 def decide_bt6(c: Construction, e: Optional[Environment] = None) -> TruthValue:

@@ -471,6 +471,32 @@ def test_decide_reads_a_5000_deep_successor_chain(capsys):
     assert capsys.readouterr() == ("ff\n", "")
 
 
+def _nested(head, depth, bottom):
+    return f"({head} " * depth + bottom + ")" * depth
+
+
+# Deep connectives under a quantifier, so their atoms stay: the decision
+# either answers or is one line on stderr with exit 2, never a traceback
+# or a crash.  The decision's programs are tuples that Python hashes and
+# compares in C, and no deeper than the walkers that built them.
+@pytest.mark.parametrize("expr, verdict", [
+    (f"(exists x {_nested('and (= x (s z))', 3000, '(= x (s z))')})", "tt"),
+    (f"(forall x {_nested('or (= x (s z))', 3000, '(= x (s (s z)))')})", "ff"),
+    (f"(exists x {_nested('and (= x (s z))', 500, '(= x (s z))')})", "tt"),
+    (f"(forall x {_nested('or (= x (s z))', 500, '(= x (s (s z)))')})", "ff"),
+    (f"(forall x {_nested('not', 5000, '(= (+ x x) (s z))')})", "ff"),
+    (f"(forall x {_nested('not', 5001, '(= (+ x x) (s z))')})", "tt"),
+], ids=["and-3000", "or-3000", "and-500", "or-500", "not-5000", "not-5001"])
+def test_decide_of_deep_input_answers_or_is_one_line(capsys, expr, verdict):
+    status = run(["decide", expr])
+    out, err = capsys.readouterr()
+    if status == 0:
+        assert (out, err) == (verdict + "\n", "")
+    else:
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["normalize", "²"], "bad numeral '²' (at position 0)"),
     (["bplus", "¹", "1"], "bad numeral '¹' (at position 0)"),

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterator, Union
 
 import pytest
 
@@ -9,12 +9,12 @@ from biforge import presburger
 from biforge.binum import of_nat, to_construction
 from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
-    Divides, Elimination, EqZero, LinearAtom, LinearTerm, LtZero, QAnd, QAtom,
-    QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _decide,
-    _atom, _compile, _entry, _gather, bounded_oracle,
-    cooper_eliminate, decide_bt5, decide_bt6, decide_bt6_with_bound,
-    _linearize, eliminate_quantifiers, evaluate, linearize, negate, q_and, q_or,
-    q_or_all, sufficiency_bound,
+    Divides, Elimination, EqZero, LinearTerm, LtZero, QAnd, QAtom,
+    QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _F, _T, _Table,
+    _and, _atom, _compile, _decide, _entry, _formula, _gather, _or, _or_all,
+    _program, bounded_oracle, cooper_eliminate, decide_bt5, decide_bt6,
+    decide_bt6_with_bound, _linearize, eliminate_quantifiers, evaluate,
+    linearize, negate, sufficiency_bound,
 )
 from biforge.recognizers import LangLevel
 from biforge.semantics import Environment, eval_bool
@@ -24,11 +24,154 @@ from biforge.syntax import (
     Zero, _fold, free_vars, quote_unary, substitute,
 )
 from .conftest import random_matrix, random_sentence
+from .test_acceptance import _sentence_corpus
 
 x = Var("x")
 y = Var("y")
 
 TT_, FF_ = TruthValue.TRUE, TruthValue.FALSE
+
+
+# ---------------------------------------------------------------------------
+# Linear-term arithmetic and record-level formula helpers that only these
+# tests use: the kernel works on programs over an atom table and builds
+# records only at its public boundary.
+
+LinearAtom = Union[EqZero, LtZero, Divides]
+
+
+def constant(k: int) -> LinearTerm:
+    return LinearTerm((), k)
+
+
+def variable(v: str, coeff: int = 1) -> LinearTerm:
+    return LinearTerm.make({v: coeff}, 0)
+
+
+def coeff(t: LinearTerm, v: str) -> int:
+    return dict(t.coeffs).get(v, 0)
+
+
+def drop(t: LinearTerm, v: str) -> LinearTerm:
+    return LinearTerm(tuple(p for p in t.coeffs if p[0] != v), t.const)
+
+
+def add(a: LinearTerm, b: LinearTerm) -> LinearTerm:
+    d = dict(a.coeffs)
+    for v, c in b.coeffs:
+        d[v] = d.get(v, 0) + c
+    return LinearTerm.make(d, a.const + b.const)
+
+
+def scale(t: LinearTerm, k: int) -> LinearTerm:
+    if k == 0:
+        return LinearTerm((), 0)
+    return LinearTerm(tuple((v, c * k) for v, c in t.coeffs), t.const * k)
+
+
+def sub(a: LinearTerm, b: LinearTerm) -> LinearTerm:
+    return add(a, scale(b, -1))
+
+
+def neg(t: LinearTerm) -> LinearTerm:
+    return scale(t, -1)
+
+
+def shift(t: LinearTerm, k: int) -> LinearTerm:
+    return LinearTerm(t.coeffs, t.const + k)
+
+
+_TRUE, _FALSE = QTrue(), QFalse()
+
+
+def q_and(l: QFormula, r: QFormula) -> QFormula:
+    if type(l) is QFalse or type(r) is QFalse:
+        return _FALSE
+    if type(l) is QTrue:
+        return r
+    if type(r) is QTrue:
+        return l
+    return QAnd(l, r)
+
+
+def q_or(l: QFormula, r: QFormula) -> QFormula:
+    if type(l) is QTrue or type(r) is QTrue:
+        return _TRUE
+    if type(l) is QFalse:
+        return r
+    if type(r) is QFalse:
+        return l
+    return QOr(l, r)
+
+
+def gather_records(cls, f: QFormula, seen: set, out: list) -> None:
+    """The parts of ``f`` under nested ``cls`` nodes, each part not in
+    ``seen`` added to it and to ``out``."""
+    if type(f) is cls:
+        gather_records(cls, f.lhs, seen, out)
+        gather_records(cls, f.rhs, seen, out)
+    elif f not in seen:
+        seen.add(f)
+        out.append(f)
+
+
+def q_or_all(parts: list[QFormula]) -> QFormula:
+    """Disjunction with constant folding, flattening and duplicate
+    elimination, built balanced."""
+    seen: set = set()
+    flat: list[QFormula] = []
+    for p in parts:
+        gather_records(QOr, p, seen, flat)
+    kept = [p for p in flat if type(p) is not QFalse]
+    if any(type(p) is QTrue for p in kept):
+        return _TRUE
+    if not kept:
+        return _FALSE
+    while len(kept) > 1:
+        kept = [QOr(*kept[i:i + 2]) if i + 1 < len(kept) else kept[i]
+                for i in range(0, len(kept), 2)]
+    return kept[0]
+
+
+def record_atom(d: int, coeffs: tuple, g: int, k: int) -> QFormula:
+    """``d | t``, or ``t < 0`` when ``d`` is 0, as a record: folded to a
+    constant when ground, else divided by ``gcd(d, g, k)``."""
+    if not coeffs:
+        return _TRUE if (k % d == 0 if d else k < 0) else _FALSE
+    g = gcd(d, g, k)
+    if g == d:
+        return _TRUE
+    if g > 1:
+        coeffs, k = tuple((u, c // g) for u, c in coeffs), k // g
+    t = LinearTerm(coeffs, k)
+    return QAtom(Divides(d // g, t) if d else LtZero(t))
+
+
+def reference_negate(f: QFormula) -> QFormula:
+    """Negation-normal-form complement, walked on records."""
+    match f:
+        case QAtom(LtZero(t) | EqZero(t) | Divides(_, t) as a):
+            cs, k = t.coeffs, t.const
+            g = gcd(*(c for _, c in cs))
+            if type(a) is Divides:
+                return q_or_all([record_atom(a.d, cs, g, k + r) for r in range(1, a.d)])
+            minus = tuple((u, -c) for u, c in cs)
+            if type(a) is LtZero:
+                return record_atom(0, minus, g, -1 - k)
+            return q_or(record_atom(0, cs, g, k), record_atom(0, minus, g, -k))
+        case QOr(l, r):
+            return q_and(reference_negate(l), reference_negate(r))
+        case QAnd(l, r):
+            return q_or(reference_negate(l), reference_negate(r))
+        case QTrue():
+            return _FALSE
+        case QFalse():
+            return _TRUE
+        case QForall(v, body):
+            return QExists(v, reference_negate(body))
+        case QExists(v, body):
+            return QForall(v, reference_negate(body))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def test_linearize_cancellation():
@@ -66,16 +209,22 @@ def test_linearize_keeps_the_truth_of_each_connective_under_negation(rng):
 
 
 def test_a_wide_disjunction_stays_within_the_recursion_limit():
-    # q_or_all builds a balanced tree, so each walker over a 3,000-wide
+    # _or_all builds a balanced tree, so each walker over a 3,000-wide
     # residue recurses about a dozen levels deep, not 3,000.
     def parts():
         return [QAtom(EqZero(LinearTerm.make({"x": 1, "y": -1}, -k))) for k in range(3000)]
 
-    wide, again = q_or_all(parts()), q_or_all(parts())
-    flat = []
-    _gather(QOr, wide, set(), flat)
-    assert flat == parts()
-    assert wide == again and hash(wide) == hash(again)
+    table = _Table()
+    programs = [_program(p, table) for p in parts()]
+    assert programs == list(range(3000))
+    program = _or_all([programs[0], _F, *programs, *reversed(programs)])
+    flat, depth, leftmost = [], 0, program
+    _gather(program, set(), flat)
+    while type(leftmost) is tuple:
+        leftmost, depth = leftmost[1], depth + 1
+    assert flat == programs and depth == 12
+    wide, again = _formula(program, table), q_or_all(parts())
+    assert wide == again and hash(wide) == hash(again) and repr(wide) == repr(again)
     assert evaluate(wide, {"x": 2999, "y": 0}) and not evaluate(wide, {"x": 0, "y": 1})
     assert evaluate(negate(wide), {"x": 0, "y": 1})
     residue = cooper_eliminate("x", wide)
@@ -196,6 +345,17 @@ def test_elimination_is_identity_on_quantifier_free(rng):
 
 
 def test_smart_constructors():
+    # Atoms 0 and 1 are programs of their own, apart from the constants:
+    # True == 1 and hash(True) == hash(1), so True and False could not be.
+    table = _Table()
+    zero, one = table[0, (("x", 1),), 0], table[0, (("y", 1),), 0]
+    assert (zero, one) == (0, 1)
+    for t in (zero, one):
+        assert _and(_T, t) == _and(t, _T) == t and _and(_F, t) is _and(t, _F) is _F
+        assert _or(_T, t) is _or(t, _T) is _T and _or(_F, t) == _or(t, _F) == t
+        assert _and(t, t) == ("&", t, t) and _or(t, t) == ("|", t, t)
+    assert _or_all([one, zero, _F, one]) == ("|", one, zero) and _or_all([one, _T]) is _T
+    assert _or_all([zero, _F, one, _T]) is _T and _or_all([_F, _F]) is _F and _or_all([]) is _F
     t = QAtom(EqZero(LinearTerm.make({"x": 1}, 0)))
     assert q_and(QTrue(), t) == t
     assert q_and(QFalse(), t) == QFalse()
@@ -204,22 +364,40 @@ def test_smart_constructors():
 
 
 def _mk_lt(t: LinearTerm) -> QFormula:
-    return _atom(0, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
+    return record_atom(0, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
 
 
 def _mk_div(d: int, t: LinearTerm) -> QFormula:
-    return _atom(d, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
+    return record_atom(d, t.coeffs, gcd(*(c for _, c in t.coeffs)), t.const)
 
 
 def test_divides_validation():
     with pytest.raises(ValueError):
-        Divides(0, LinearTerm.constant(1))
+        Divides(0, constant(1))
 
 
 def test_divisibility_atoms_reduce_by_their_gcd():
     # 4 | 2x + 2 is 2 | x + 1; 2 | 2x always holds.
+    table = _Table()
+    assert table.atoms[_atom(4, (("x", 2),), 2, 2, table)] == (2, (("x", 1),), 1)
+    assert _atom(2, (("x", 2),), 2, 0, table) is _T and len(table) == 1
     assert _mk_div(4, LinearTerm.make({"x": 2}, 2)) == QAtom(Divides(2, LinearTerm.make({"x": 1}, 1)))
     assert _mk_div(2, LinearTerm.make({"x": 2}, 0)) == QTrue()
+
+
+def test_the_atom_of_a_key_is_the_record_atom():
+    # Each atom the kernel keys, folded or reduced, is the record atom of
+    # the same operands, and one key is one index.
+    rng = random.Random("atom")
+    table = _Table()
+    for _ in range(3000):
+        cs = tuple((u, c) for u in "wxy" if rng.random() < 0.6 and (c := rng.randint(-6, 6)))
+        d, k = rng.choice([0, 0, rng.randint(1, 12)]), rng.randint(-30, 30)
+        g = gcd(*(c for _, c in cs))
+        p = _atom(d, cs, g, k, table)
+        assert _formula(p, table) == record_atom(d, cs, g, k)
+        assert p in (_T, _F) or table[table.atoms[p]] == p
+    assert len(table) == len(table.atoms) == len(set(table.atoms))
 
 
 @pytest.mark.parametrize("decide, name, language", [
@@ -276,17 +454,17 @@ def _map_atoms(fn, f: QFormula) -> QFormula:
 
 def _lower_equality(atom: LinearAtom, v: str) -> QFormula:
     # t = 0 becomes t - 1 < 0 and -t - 1 < 0, but only where v occurs.
-    if isinstance(atom, EqZero) and atom.term.coeff(v):
+    if isinstance(atom, EqZero) and coeff(atom.term, v):
         t = atom.term
-        return q_and(_mk_lt(t.shift(-1)), _mk_lt((-t).shift(-1)))
+        return q_and(_mk_lt(shift(t, -1)), _mk_lt(shift(neg(t), -1)))
     return QAtom(atom)
 
 
 def _substitute_test(atom, v, b, j):
-    c = atom.term.coeff(v)
+    c = coeff(atom.term, v)
     if c == 0:
         return QAtom(atom)
-    t = atom.term.drop(v) + b.shift(j).scale(c)
+    t = add(drop(atom.term, v), scale(shift(b, j), c))
     if isinstance(atom, LtZero):
         return _mk_lt(t)
     if isinstance(atom, Divides):
@@ -295,43 +473,43 @@ def _substitute_test(atom, v, b, j):
 
 
 def _unify_coefficient(atom: LinearAtom, v: str, m: int) -> QFormula:
-    c = atom.term.coeff(v)
+    c = coeff(atom.term, v)
     # With m == 1 only a divisibility atom with coefficient -1 changes.
     if c == 0 or m == 1 and (c > 0 or isinstance(atom, LtZero)):
         return QAtom(atom)
     k = m // abs(c)
     sign = 1 if c > 0 else -1
-    t = atom.term.scale(k).drop(v) + LinearTerm.variable(v, sign)
+    t = add(drop(scale(atom.term, k), v), variable(v, sign))
     if isinstance(atom, LtZero):
         return QAtom(LtZero(t))
     if isinstance(atom, Divides):
-        return QAtom(Divides(atom.d * k, t if sign > 0 else -t))
+        return QAtom(Divides(atom.d * k, t if sign > 0 else neg(t)))
     raise AssertionError("equalities must be lowered before coefficient unification")
 
 
 def reference_cooper_eliminate(v, matrix, _record=None):
     if isinstance(matrix, QOr):
         flat = []
-        _gather(QOr, matrix, set(), flat)
+        gather_records(QOr, matrix, set(), flat)
         return q_or_all([reference_cooper_eliminate(v, part, _record) for part in flat])
     matrix = _map_atoms(lambda a: _lower_equality(a, v), matrix)
-    matrix = q_and(matrix, QAtom(LtZero(LinearTerm.variable(v, -1).shift(-1))))
+    matrix = q_and(matrix, QAtom(LtZero(shift(variable(v, -1), -1))))
     if isinstance(matrix, (QTrue, QFalse)):
         if _record is not None:
             _record.append(Elimination(v, (), 1))
         return matrix
-    coefficients = {abs(a.term.coeff(v)) for a in _atoms(matrix) if a.term.coeff(v)}
+    coefficients = {abs(coeff(a.term, v)) for a in _atoms(matrix) if coeff(a.term, v)}
     m = lcm(*coefficients) if coefficients else 1
     matrix = _map_atoms(lambda a: _unify_coefficient(a, v, m), matrix)
     if m > 1:
-        matrix = q_and(matrix, QAtom(Divides(m, LinearTerm.variable(v))))
+        matrix = q_and(matrix, QAtom(Divides(m, variable(v))))
     lowers, moduli = [], [1]
     for atom in _atoms(matrix):
-        c = atom.term.coeff(v)
+        c = coeff(atom.term, v)
         if c == 0:
             continue
         if isinstance(atom, LtZero) and c == -1:
-            lowers.append(atom.term.drop(v))
+            lowers.append(drop(atom.term, v))
         elif isinstance(atom, Divides):
             moduli.append(atom.d)
     delta = lcm(*moduli)
@@ -359,14 +537,31 @@ def prenex_corpus(seed, q, depth, count):
     return out
 
 
-def _both(f, monkeypatch):
-    """Residue and records of ``f`` under the kernel and the reference."""
-    records = []
+def reference_eliminate_quantifiers(f, _record=None):
+    """Innermost-first elimination on records, each universal through
+    its dual, with the reference elimination and negation."""
+    match f:
+        case QExists(v, body):
+            return reference_cooper_eliminate(v, reference_eliminate_quantifiers(body, _record), _record)
+        case QForall(v, body):
+            inner = reference_negate(reference_eliminate_quantifiers(body, _record))
+            return reference_negate(reference_cooper_eliminate(v, inner, _record))
+        case QAnd(l, r):
+            return q_and(reference_eliminate_quantifiers(l, _record),
+                         reference_eliminate_quantifiers(r, _record))
+        case QOr(l, r):
+            return q_or(reference_eliminate_quantifiers(l, _record),
+                        reference_eliminate_quantifiers(r, _record))
+    return f
+
+
+def _both(f):
+    """Residue and records of ``f`` under the kernel, on programs over one
+    atom table, and under the reference, on records."""
+    records, reference_records = [], []
     residue = eliminate_quantifiers(f, records)
-    with monkeypatch.context() as m:
-        m.setattr(presburger, "cooper_eliminate", reference_cooper_eliminate)
-        reference_records = []
-        reference = eliminate_quantifiers(f, reference_records)
+    reference = reference_eliminate_quantifiers(f, reference_records)
+    assert repr(residue) == repr(reference)
     return (residue, records), (reference, reference_records)
 
 
@@ -374,26 +569,25 @@ def _both(f, monkeypatch):
     ("decide/q3", 3, 2, 100),
     ("decide/tail", 4, 3, 12),
 ])
-def test_elimination_matches_reference(seed, q, depth, count, monkeypatch):
+def test_elimination_matches_reference(seed, q, depth, count):
     # Each sentence closed, and with its outer quantifier stripped so the
     # residue keeps a free variable.
     for s in prenex_corpus(seed, q, depth, count):
         for f in (linearize(s), linearize(s.body)):
-            got, want = _both(f, monkeypatch)
+            got, want = _both(f)
             assert got == want
 
 
-def test_short_circuit_keeps_every_test_point(monkeypatch):
+def test_short_circuit_keeps_every_test_point():
     # exists y. y < 3 and (y = 0 or x < y): the first branch, y = 0, is
     # already true, before the test point x is tried.
     matrix = QAnd(
         QAtom(LtZero(LinearTerm.make({"y": 1}, -3))),
-        QOr(QAtom(EqZero(LinearTerm.variable("y"))),
+        QOr(QAtom(EqZero(variable("y"))),
             QAtom(LtZero(LinearTerm.make({"x": 1, "y": -1}, 0)))),
     )
-    got, want = _both(QExists("y", matrix), monkeypatch)
-    assert got == want == (
-        QTrue(), [Elimination("y", (LinearTerm.constant(-1), LinearTerm.variable("x")), 1)])
+    got, want = _both(QExists("y", matrix))
+    assert got == want == (QTrue(), [Elimination("y", (constant(-1), variable("x")), 1)])
 
 
 def _outer_stripped(s, k):
@@ -407,12 +601,12 @@ def _outer_stripped(s, k):
     ("decide/q3", 3, 2, 100),
     ("decide/tail", 4, 3, 12),
 ])
-def test_elimination_matches_reference_with_free_variables(seed, q, depth, count, monkeypatch):
+def test_elimination_matches_reference_with_free_variables(seed, q, depth, count):
     # Two to q outer quantifiers stripped, so residues keep up to three
     # free variables (the test above strips none or one).
     for s in prenex_corpus(seed, q, depth, count):
         for k in range(2, q + 1):
-            got, want = _both(linearize(_outer_stripped(s, k)), monkeypatch)
+            got, want = _both(linearize(_outer_stripped(s, k)))
             assert got == want
 
 
@@ -449,7 +643,7 @@ def scaled_matrix(rng, names, depth):
 
 
 @pytest.mark.parametrize("q, count", [(2, 60), (3, 30)])
-def test_elimination_matches_reference_on_scaled_coefficients(q, count, monkeypatch):
+def test_elimination_matches_reference_on_scaled_coefficients(q, count):
     rng = random.Random(f"scaled/{q}")
     names = ["x", "y", "w"][:q]
     deltas = []
@@ -458,13 +652,13 @@ def test_elimination_matches_reference_on_scaled_coefficients(q, count, monkeypa
         for v in reversed(names):
             body = (Forall if rng.random() < 0.5 else Exists)(v, body)
         for k in range(q + 1):
-            got, want = _both(linearize(_outer_stripped(body, k)), monkeypatch)
+            got, want = _both(linearize(_outer_stripped(body, k)))
             assert got == want
             deltas += [r.delta for r in got[1]]
     assert max(deltas) > 1
 
 
-def test_negated_divisibility_reaches_the_next_elimination(monkeypatch):
+def test_negated_divisibility_reaches_the_next_elimination():
     # exists x. forall y. M: the forall's residue holds divisibility atoms
     # on x, which negation expands before x is eliminated.
     rng = random.Random("scaled/forall")
@@ -473,7 +667,7 @@ def test_negated_divisibility_reaches_the_next_elimination(monkeypatch):
         matrix = scaled_matrix(rng, ["x", "y"], 2)
         inner = eliminate_quantifiers(linearize(Forall("y", matrix)))
         divisible += any(isinstance(a, Divides) for a in _atoms(inner))
-        got, want = _both(linearize(Exists("x", Forall("y", matrix))), monkeypatch)
+        got, want = _both(linearize(Exists("x", Forall("y", matrix))))
         assert got == want
     assert divisible > 0
 
@@ -507,8 +701,8 @@ _Y = _lt({"y": -1, "x": 1}, 0)  # y > x, a lower bound on y
     (QAnd(QFalse(), _Y), ()),
     (QAnd(_Y, QFalse()), ()),
     # the QOr folds to QTrue, so only y < 5 and v >= 0 bound y
-    (QAnd(_lt({"y": 1}, -5), QOr(QTrue(), _Y)), (LinearTerm.constant(-1),)),
-    (QAnd(_lt({"y": 1}, -5), QOr(_Y, QTrue())), (LinearTerm.constant(-1),)),
+    (QAnd(_lt({"y": 1}, -5), QOr(QTrue(), _Y)), (constant(-1),)),
+    (QAnd(_lt({"y": 1}, -5), QOr(_Y, QTrue())), (constant(-1),)),
 ])
 def test_raw_truth_constants_fold_as_in_the_reference(matrix, tests):
     # A hand-built QAnd/QOr may hold QTrue/QFalse, which the smart
@@ -538,9 +732,14 @@ def test_the_atom_table_has_one_entry_per_distinct_atom(monkeypatch):
     assert (got, records) == (want, reference_records)
     assert keys == [(0, (("y", 1),), 0), (0, (("y", -1),), -1), (0, (("y", 2),), 2),
                     (0, (("y", 1),), 1), (3, (("y", 1),), 1)]
-    table = {}
-    assert _compile(matrix, "y", table) == (True, (True, (True, 0, 1), 0), (True, (True, 2, 3), (True, 4, 1)))
-    assert list(table) == keys
+    # The matrix's six atoms take indices 0-5 in the order read; the
+    # lowered equality's halves are atoms 1 and 5, so the walk enters no
+    # new key, and the local table maps the five atoms on y to 0-4.
+    table, local = _Table(), {}
+    program = _compile(_program(matrix, table), "y", local, table)
+    assert program == ("&", ("&", ("&", 0, 1), 0), ("&", ("&", 2, 3), ("&", 4, 1)))
+    assert local == {1: 0, 5: 1, 2: 2, 3: 3, 4: 4} and len(table) == 6
+    assert [table.atoms[i] for i in local] == keys
 
 
 def test_entry_is_the_unified_atom_split():
@@ -555,11 +754,11 @@ def test_entry_is_the_unified_atom_split():
             t = LinearTerm.make({"y": c, "x": rng.randint(-6, 6), "w": rng.randint(-6, 6)},
                                 rng.randint(-20, 20))
             atoms.append(LtZero(t) if rng.random() < 0.5 else Divides(rng.randint(1, 6), t))
-        m = lcm(*(abs(a.term.coeff("y")) for a in atoms)) * rng.randint(1, 3)
+        m = lcm(*(abs(coeff(a.term, "y")) for a in atoms)) * rng.randint(1, 3)
         for a in atoms:
             u = _unify_coefficient(a, "y", m).atom
-            rest = u.term.drop("y")
-            split = (u.d if type(u) is Divides else 0, u.term.coeff("y"), rest.coeffs, rest.const)
+            rest = drop(u.term, "y")
+            split = (u.d if type(u) is Divides else 0, coeff(u.term, "y"), rest.coeffs, rest.const)
             key = (a.d if type(a) is Divides else 0, a.term.coeffs, a.term.const)
             assert _entry(key, "y", m) == split
 
@@ -738,19 +937,51 @@ def test_random_rebinding_matches_reference_grounding():
 
 
 # ---------------------------------------------------------------------------
+# The decision core against the record path: ``_decide`` eliminates on
+# programs over one atom table and reads its verdict off the constant
+# residue; the reference builds the grounded linear form as records,
+# eliminates on records and evaluates.
+
+def reference_decide(c, e, records):
+    table = _Table()
+    linear = _formula(_linearize(c, False, e, (), table), table)
+    return TruthValue.of(evaluate(reference_eliminate_quantifiers(linear, records), {}))
+
+
+def _closed_corpus(count):
+    return ((s, Environment()) for s in _sentence_corpus(count))
+
+
+@pytest.mark.parametrize("corpus", [
+    lambda: _closed_corpus(300),  # criterion 5's first 300 sentences
+    lambda: _open_corpus("decide/q3", 3, 2, 300),
+    lambda: _open_corpus("decide/tail", 4, 3, 12),
+], ids=["criterion-5", "decide/q3", "decide/tail"])
+def test_int_coded_decisions_match_the_record_reference(corpus):
+    # Verdicts, records and bounds, each sentence closed and with its
+    # outer quantifiers stripped in turn, free variables valued.
+    for c, e in corpus():
+        records, reference_records = [], []
+        verdict = _decide(c, e, LangLevel.L2, records)
+        assert verdict is reference_decide(c, e, reference_records)
+        assert records == reference_records
+        assert sufficiency_bound(records) == sufficiency_bound(reference_records)
+
+
+# ---------------------------------------------------------------------------
 # Reference linearization: the per-node fold that ``_difference``
 # replaced, one ``LinearTerm`` per node of each side, and the values of an
 # environment folded into the difference afterwards.  The one walk must
 # give equal terms, and ``_linearize`` equal formulas.
 
 reference_linear_of_term = _fold(
-    lambda c: LinearTerm.variable(c.name) if type(c) is Var else LinearTerm.constant(0),
-    lambda c, a, b=None: a.shift(1) if b is None else a + b,
+    lambda c: variable(c.name) if type(c) is Var else constant(0),
+    lambda c, a, b=None: shift(a, 1) if b is None else add(a, b),
 )
 
 
 def reference_difference(l, r, env, bound):
-    t = reference_linear_of_term(l) - reference_linear_of_term(r)
+    t = sub(reference_linear_of_term(l), reference_linear_of_term(r))
     if env is not None:
         t = LinearTerm(tuple(p for p in t.coeffs if p[0] in bound),
                        t.const + sum(k * env[v] for v, k in t.coeffs if v not in bound))
@@ -758,10 +989,14 @@ def reference_difference(l, r, env, bound):
 
 
 def _linearized_both(c, env, monkeypatch):
-    got = presburger._linearize(c, False, env, ())
+    def linear():
+        table = _Table()
+        return _formula(presburger._linearize(c, False, env, (), table), table)
+
+    got = linear()
     with monkeypatch.context() as m:
         m.setattr(presburger, "_difference", reference_difference)
-        want = presburger._linearize(c, False, env, ())
+        want = linear()
     return got, want
 
 
@@ -899,18 +1134,19 @@ TAIL_13 = (
 )
 
 
-def test_the_tail_sentence_matches_reference_and_decides(monkeypatch):
+def test_the_tail_sentence_matches_reference_and_decides():
     s = parse_construction(TAIL_13)
-    got, want = _both(linearize(s.body), monkeypatch)
+    got, want = _both(linearize(s.body))
     assert got == want
     assert decide_bt6_with_bound(s) == (FF_, None)
     assert decide_bt6(Not(s)) is TT_
 
 
 # ---------------------------------------------------------------------------
-# The walkers ``_both`` runs on both sides: ``negate``, ``_linearize`` and
-# ``eliminate_quantifiers`` serve the kernel and the reference alike, so a
-# fault in them shows only against digests pinned from an earlier build.
+# Digests pinned from an earlier build, which walked records throughout:
+# ``_linearize`` serves the kernel and the reference alike, and the
+# public functions' conversions to and from programs are the kernel's
+# alone, so a fault in them shows against these.
 
 def _walk_digest(sentences):
     """sha256 over the repr of each sentence's verdict, sufficiency bound
@@ -949,7 +1185,7 @@ _QUANTIFIED_MATRIX = QAnd(_lt({"y": 1}, 0), QExists("x", QTrue()))
     (lambda: evaluate(QExists("x", QTrue()), {}), ValueError, "formula still contains quantifiers"),
     (lambda: evaluate(QAtom(x), {}), ValueError, "formula still contains quantifiers"),
     (lambda: linearize(Succ(x)), SortError, "linearize needs a formula, not a term"),
-    (lambda: _linearize(x, False, None, ()), SortError, "not a formula: Var(name='x')"),
+    (lambda: _linearize(x, False, None, (), _Table()), SortError, "not a formula: Var(name='x')"),
     (lambda: cooper_eliminate("y", _QUANTIFIED_MATRIX), AssertionError, "quantifier inside a matrix"),
     (lambda: cooper_eliminate("y", QAtom(x)), TypeError, "not a formula: QAtom(atom=Var(name='x'))"),
     (lambda: eliminate_quantifiers(QExists("y", QAtom(x))), TypeError,
