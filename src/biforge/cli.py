@@ -11,7 +11,8 @@ is imported only then; help, messages and exit statuses are argparse's.
 Exit codes: 0 success; 1 a check report contains failures or a decision
 misses ``--expect``; 2 usage, parse or sort error, a bad bound or sample
 count, an unreadable ``--graph`` or unwritable ``--out`` file, or input
-nested too deeply for the interpreter's recursion limit; 3 language,
+nested past ``syntax._DEEP_LIMIT`` (a command that meets the recursion
+limit runs once more on a big stack, under that limit); 3 language,
 recognizer or strategy violation; 4 stuck rewrite.  Nothing is written
 to disk unless ``--out`` is given.
 """
@@ -36,7 +37,7 @@ from .presburger import decide_bt5, decide_bt6
 from .recognizers import LangLevel, is_fo, is_fo_abs
 from .semantics import Bounded, QUANTIFIER_FREE, eval_bool, eval_nat, parse_environment
 from .sexpr import binnum_literal, parse_binnum, parse_construction, to_sexpr
-from .syntax import Sort, sort_of
+from .syntax import Sort, _on_big_stack, sort_of
 from .theory import (
     SchemaKind, check_axioms, check_morphism, induction_instance, morphism,
     parse_theory_graph, theory,
@@ -244,7 +245,7 @@ def run(argv: list[str]) -> int:
     fields = _read(argv)
     args = SimpleNamespace(**fields) if fields is not None else _build_parser().parse_args(argv)
     try:
-        output, status = args.handler(args)
+        output, status = _on_big_stack(args.handler, args)
     except (ParseError, SortError, NotBnum, KeyError, ValueError, RecursionError) as err:
         # str() of a KeyError is the repr of its argument, quotes included.
         message = err.args[0] if isinstance(err, KeyError) else err

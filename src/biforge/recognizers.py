@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 
-from .errors import SortError
-from .syntax import Construction, _classify, abs_body, is_abs
+from .errors import NotAnAbstraction, SortError
+from .syntax import Construction, Sort, _classify, abs_body
 
 
 class LangLevel(enum.IntEnum):
@@ -29,5 +29,9 @@ def is_fo(level: LangLevel, c: Construction) -> bool:
 
 
 def is_fo_abs(level: LangLevel, c: Construction) -> bool:
-    """True iff ``c`` is an abstraction whose body is first-order at ``level``."""
-    return is_abs(c) and is_fo(level, abs_body(c))
+    """True iff ``c`` is an abstraction whose body is a first-order formula at ``level``."""
+    try:
+        sort, used = _classify(abs_body(c))
+    except (NotAnAbstraction, SortError):
+        return False
+    return sort is Sort.BOOL and used <= level

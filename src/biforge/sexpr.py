@@ -20,7 +20,7 @@ from typing import Optional
 from .binum import BinNum, of_nat, to_construction
 from .errors import ParseError
 from .syntax import (
-    Construction, FF, TT, Var, Zero, _BINARIES, _BINDERS, _SIGNATURES, _UNARIES, _fold,
+    Construction, FF, TT, Var, Zero, _BINDERS, _SIGNATURES, _UNARIES, _fold, _on_big_stack,
 )
 
 # A form's head is the label its node has in the sort signatures.
@@ -52,56 +52,40 @@ def _read_binary_literal(token: str, pos: int) -> BinNum:
 
 
 def _read(tokens: list[tuple[str, int]], i: int):
-    """One expression starting at token ``i``; returns (node, next index).
-
-    Open forms wait on a stack, so nesting depth is not bounded by the
-    recursion limit.
-    """
-    stack = []  # head, its position, position of '(', arguments so far
-    while True:
-        if i >= len(tokens):
-            if stack:
-                raise ParseError("unclosed '('", stack[-1][2])
-            position = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
-            raise ParseError("unexpected end of input", position)
-        token, pos = tokens[i]
-        i += 1
-        if token == "(":
-            if i >= len(tokens):
-                raise ParseError("unclosed '('", pos)
-            head, head_pos = tokens[i]
-            if head in "()":
-                raise ParseError("a form starts with an operator name", head_pos)
-            stack.append((head, head_pos, pos, []))
-            i += 1
-            continue
-        if token == ")":
-            if not stack:
-                raise ParseError("unexpected ')'", pos)
-            head, head_pos, _, args = stack.pop()
-            node = _form(head, head_pos, args)
-        else:
-            node = _atom(token, pos)
-        if not stack:
-            return node, i
-        stack[-1][3].append(node)
+    """One expression starting at token ``i`` of a list that has one;
+    returns (node, next index)."""
+    token, pos = tokens[i]
+    if token == ")":
+        raise ParseError("unexpected ')'", pos)
+    if token != "(":
+        return _atom(token, pos), i + 1
+    if i + 1 == len(tokens):
+        raise ParseError("unclosed '('", pos)
+    head, head_pos = tokens[i + 1]
+    if head in "()":
+        raise ParseError("a form starts with an operator name", head_pos)
+    args, i = [], i + 2
+    while i < len(tokens) and tokens[i][0] != ")":
+        node, i = _read(tokens, i)
+        args.append(node)
+    if i == len(tokens):
+        raise ParseError("unclosed '('", pos)
+    return _form(head, head_pos, args), i + 1
 
 
 def _form(head: str, pos: int, args: list) -> Construction:
     ctor = _FORMS.get(head)
     if ctor is None:
         raise ParseError(f"unknown form {head!r}", pos)
-    if ctor in _UNARIES:
-        if len(args) != 1:
-            raise ParseError(f"({head} ...) takes one argument", pos)
-        return ctor(args[0])
-    if ctor in _BINARIES:
-        if len(args) != 2:
-            raise ParseError(f"({head} ...) takes two arguments", pos)
-        return ctor(args[0], args[1])
-    if len(args) != 2 or not isinstance(args[0], Var):
-        raise ParseError(f"({head} ...) takes a variable and a body", pos)
-    return ctor(args[0].name, args[1])
+    if ctor in _BINDERS:
+        if len(args) != 2 or not isinstance(args[0], Var):
+            raise ParseError(f"({head} ...) takes a variable and a body", pos)
+        return ctor(args[0].name, args[1])
+    arity = 1 if ctor in _UNARIES else 2
+    if len(args) != arity:
+        count = "one argument" if arity == 1 else "two arguments"
+        raise ParseError(f"({head} ...) takes {count}", pos)
+    return ctor(*args)
 
 
 def _atom(token: str, pos: int) -> Construction:
@@ -121,7 +105,7 @@ def parse_construction(text: str) -> Construction:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    node, i = _read(tokens, 0)
+    node, i = _on_big_stack(_read, tokens, 0)
     if i != len(tokens):
         raise ParseError(f"trailing input {tokens[i][0]!r}", tokens[i][1])
     return node

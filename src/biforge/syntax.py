@@ -10,6 +10,9 @@ procedures) works on these trees.
 from __future__ import annotations
 
 import enum
+import functools
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 from typing import Union
 
@@ -247,14 +250,40 @@ _BINARIES = frozenset((Plus, Times, And, Or, Implies, Eq))
 _BINDERS = frozenset((Forall, Exists, Abs))
 
 
+_DEEP_LIMIT = 200_000  # the recursion limit of a retry on a big stack
+
+
+def _on_big_stack(f, *args):
+    """``f(*args)``; when that raises RecursionError under a lower limit,
+    ``f(*args)`` once more on a thread with a 512 MiB stack under the
+    recursion limit ``_DEEP_LIMIT``, whose value is returned or whose
+    exception is raised, and both settings are then restored.  Every
+    walker is pure, so the retry answers as an unlimited first try would
+    have, and input past the raised limit still raises RecursionError."""
+    try:
+        return f(*args)
+    except RecursionError:
+        if sys.getrecursionlimit() >= _DEEP_LIMIT:
+            raise
+    from concurrent.futures import ThreadPoolExecutor
+
+    limit, size = sys.getrecursionlimit(), threading.stack_size(512 << 20)
+    try:
+        sys.setrecursionlimit(_DEEP_LIMIT)
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(f, *args).result()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+
+
 def _fold(leaf, node):
     """The post-order walker of constructions: ``leaf(c)`` at a leaf,
     ``node(c, a)`` or ``node(c, a, b)`` at a compound node from the
     results ``a``, ``b`` of its children.  Two children that are one
-    object are walked once, and then ``b is a``; a chain of successors
-    and negations is walked in this function's loop, so its length is not
-    bounded by recursion.  :func:`substitute` decides at a binder before
-    it walks the body, so it is not a fold."""
+    object are walked once, and then ``b is a``.  The walk runs behind
+    :func:`_on_big_stack`, so deep input answers.  :func:`substitute`
+    decides at a binder before it walks the body, so it is not a fold."""
 
     def walk(c):
         t = type(c)
@@ -262,23 +291,14 @@ def _fold(leaf, node):
             a = walk(c.lhs)
             return node(c, a, a if c.rhs is c.lhs else walk(c.rhs))
         if t in _UNARIES:
-            if type(c.arg) not in _UNARIES:
-                return node(c, walk(c.arg))
-            spine = []
-            while type(c) in _UNARIES:
-                spine.append(c)
-                c = c.arg
-            a = walk(c)
-            for u in reversed(spine):
-                a = node(u, a)
-            return a
+            return node(c, walk(c.arg))
         if t in _BINDERS:
             return node(c, walk(c.body))
         if t in _LEAVES:
             return leaf(c)
         raise TypeError(f"not a construction: {c!r}")
 
-    return walk
+    return functools.partial(_on_big_stack, walk)
 
 
 def _expect(got: Sort, want: Sort, context: str) -> None:
@@ -311,13 +331,12 @@ def sort_of(c: Construction) -> Sort:
 
     Raises :class:`SortError` if any subtree is ill-sorted, e.g. a
     successor applied to a truth constant.  A binary node whose two
-    children are one object checks that child once, and a chain of
-    successors and negations is checked in a loop.
+    children are one object checks that child once.
     """
     return _classify(c)[0]
 
 
-def _classify(c: Construction) -> tuple[Sort, int]:
+def _sort_and_level(c: Construction) -> tuple[Sort, int]:
     """The sort of ``c``, as :func:`sort_of` gives it, and the highest
     language level of its nodes."""
     t = type(c)
@@ -325,31 +344,19 @@ def _classify(c: Construction) -> tuple[Sort, int]:
         return _LEAF_SORTS[t], 1
     if t not in _SIGNATURES:
         raise SortError(f"not a construction: {c!r}")
-    if t in _UNARIES:
-        # Each node of a chain of successors and negations has its
-        # argument's sort and level 1, so a fault can lie only at the
-        # chain's bottom or at its lowest change of node type; the
-        # bottom is checked first.
-        above = t
-        while True:
-            while type(c) is t:
-                c = c.arg
-            if type(c) not in _UNARIES:
-                break
-            above, t = t, type(c)
-        got = _classify(c)
-        _expect(got[0], _SIGNATURES[t][0], _SIGNATURES[t][2])
-        if above is not t:
-            _expect(got[0], _SIGNATURES[above][0], _SIGNATURES[above][2])
-        return got
     want, result, label, level = _SIGNATURES[t]
-    got, below = _classify(c.body if t in _BINDERS else c.lhs)
-    _expect(got, want, label)
-    if t in _BINARIES and c.rhs is not c.lhs:
-        got, right = _classify(c.rhs)
+    got, below = _sort_and_level(c.lhs if t in _BINARIES else c.arg if t in _UNARIES else c.body)
+    if got is not want:
         _expect(got, want, label)
+    if t in _BINARIES and c.rhs is not c.lhs:
+        got, right = _sort_and_level(c.rhs)
+        if got is not want:
+            _expect(got, want, label)
         below = right if right > below else below
     return result, level if level > below else below
+
+
+_classify = functools.partial(_on_big_stack, _sort_and_level)
 
 
 def quote_unary(n: int) -> Construction:
@@ -418,8 +425,7 @@ def substitute(c: Construction, v: str, t: Construction) -> Construction:
     Capture-avoiding and top-down: a binder of ``v`` is kept as it is,
     unwalked, and one whose variable is free in ``t`` and whose body has
     ``v`` free is renamed to a fresh variable before its body is walked.
-    Children that are one object stay one object, and a chain of
-    successors and negations is walked in a loop."""
+    Children that are one object stay one object."""
     _expect(sort_of(t), Sort.NAT, "substitute")
     fv_t = free_vars(t)
 
@@ -429,14 +435,7 @@ def substitute(c: Construction, v: str, t: Construction) -> Construction:
             a = walk(c.lhs)
             return ctor(a, a if c.rhs is c.lhs else walk(c.rhs))
         if ctor in _UNARIES:
-            spine = []
-            while type(c) in _UNARIES:
-                spine.append(type(c))
-                c = c.arg
-            c = walk(c)
-            for ctor in reversed(spine):
-                c = ctor(c)
-            return c
+            return ctor(walk(c.arg))
         if ctor in _BINDERS:
             w, body = c.var, c.body
             if w == v:
@@ -449,20 +448,20 @@ def substitute(c: Construction, v: str, t: Construction) -> Construction:
             return t if ctor is Var and c.name == v else c
         raise TypeError(f"not a construction: {c!r}")
 
-    return walk(c)
+    return _on_big_stack(walk, c)
 
 
 def alpha_equal(a: Construction, b: Construction) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
-    return _alpha(a, b, {}, {}, 0)
+    return _on_big_stack(_alpha, a, b, {}, {}, 0)
 
 
 def _alpha(a, b, env_a, env_b, depth) -> bool:
-    while type(a) in _UNARIES and type(b) is type(a):
-        a, b = a.arg, b.arg
     t = type(a)
     if t is not type(b):
         return False
+    if t in _UNARIES:
+        return _alpha(a.arg, b.arg, env_a, env_b, depth)
     if t in _BINARIES:
         return _alpha(a.lhs, b.lhs, env_a, env_b, depth) and (
             (a.rhs is a.lhs and b.rhs is b.lhs) or _alpha(a.rhs, b.rhs, env_a, env_b, depth))

@@ -53,6 +53,7 @@ def induction_instance(kind: SchemaKind, pred: Construction) -> Construction:
     """
     if not is_abs(pred):
         raise NotAnAbstraction("induction needs a predicate abstraction")
+    sort_of(pred)  # raises SortError unless the body is a formula
     level = SCHEMA_LEVEL[kind]
     if not is_fo_abs(level, pred):
         raise LanguageError(f"predicate body exceeds language level {level.value}")

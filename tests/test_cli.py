@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import biforge.cli as cli
+import biforge.syntax as syntax
 from biforge.cli import (
     _COMMANDS, _build_parser, _cmd_bplus, _cmd_btimes, _cmd_check_morphism,
     _cmd_check_theory, _cmd_decide, _cmd_eval, _cmd_induct, _cmd_normalize,
@@ -157,6 +158,13 @@ def test_induct(capsys):
 
 def test_induct_rejects_non_abstraction(capsys):
     assert run(["induct", "tt"]) == 3
+
+
+def test_a_predicate_with_a_term_body_is_refused(capsys):
+    assert run(["recognize", "--abs", "(lambda x (+ x x))"]) == 3
+    assert capsys.readouterr() == ("no\n", "")
+    assert run(["induct", "(lambda x (+ x x))"]) == 2
+    assert capsys.readouterr() == ("", "error: lambda needs a bool argument, got nat\n")
 
 
 def test_check_theory(capsys):
@@ -419,17 +427,44 @@ def test_graph_file_errors_name_their_line(tmp_path, capsys, text, line):
     assert captured.err.startswith(f"error: {line}")
 
 
-# Sums nested some thousands deep still recurse.
+# Sums nested past the raised recursion limit still exit 2 with one
+# line.  The limit is lowered so that the input stays small.
 @pytest.mark.parametrize("argv", [
-    ["eval", "(+ " * 3000 + "z" + " z)" * 3000],
+    ["eval", "(+ " * 30_000 + "z" + " z)" * 30_000],
 ])
-def test_recursion_limit_is_one_line(capsys, argv):
+def test_recursion_limit_is_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(syntax, "_DEEP_LIMIT", 20_000)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# A command that meets the recursion limit runs once more on a big stack,
+# so wide literals and deep sums answer.
+@pytest.mark.parametrize("bits", [500, 2048, 8192])
+def test_wide_literals_answer(capsys, bits):
+    literal = "#b" + "1" * bits
+    assert run(["eval", literal]) == 0
+    out, err = capsys.readouterr()
+    assert int(out) == 2 ** bits - 1 and err == ""
+    assert run(["recognize", literal]) == 0
+    assert capsys.readouterr() == ("yes\n", "")
+    assert run(["decide", f"(= {literal} {literal})"]) == 0
+    assert capsys.readouterr() == ("tt\n", "")
+
+
+# Over a variable, the sums and connectives compile to closures nested
+# 5,000 deep, which the command's own retry covers.
+@pytest.mark.parametrize("head, bottom, env, out", [
+    ("+", "z", "", "0"), ("+", "x", "x=1", "5001"), ("and", "tt", "", "tt"),
+], ids=["sums-z", "sums-x", "and-tt"])
+def test_eval_of_5000_nested_forms_answers(capsys, head, bottom, env, out):
+    expr = f"({head} " * 5000 + bottom + f" {bottom})" * 5000
+    assert run(["eval", "--env", env, expr]) == 0
+    assert capsys.readouterr() == (out + "\n", "")
 
 
 @pytest.mark.parametrize("depth", [3000, 5000])

@@ -7,9 +7,9 @@ from biforge.errors import SortError
 from biforge.recognizers import LangLevel, is_fo, is_fo_abs
 from biforge.syntax import (
     Abs, And, Eq, Exists, FF, Forall, Implies, Not, Or, Plus, Succ, TT, Times,
-    Var, Zero, _classify, _fold, sort_of, substitute,
+    Sort, Var, Zero, _classify, _fold, sort_of, substitute,
 )
-from .conftest import random_matrix
+from .conftest import random_matrix, random_term
 
 x = Var("x")
 
@@ -41,6 +41,23 @@ def test_is_fo_abs():
     assert not is_fo_abs(L2, TT())
     assert not is_fo_abs(L1, pred)
     assert not is_fo_abs(L2, Abs("x", Eq(Times(x, x), x)))
+
+
+def test_is_fo_abs_needs_a_formula_body():
+    for body in (Plus(x, x), x, Succ(Zero()), Abs("y", TT()), Succ(TT())):
+        pred = Abs("x", body)
+        with pytest.raises(SortError):
+            sort_of(pred)
+        assert not any(is_fo_abs(level, pred) for level in (L1, L2, L3))
+
+
+def test_is_fo_abs_is_a_well_sorted_abstraction_at_its_level(rng):
+    for _ in range(300):
+        body = (random_matrix if rng.random() < 0.5 else random_term)(rng, ["x", "y"], 3)
+        pred = Abs("x", body)
+        for level in (L1, L2, L3):
+            expected = sort_of(body) is Sort.BOOL and is_fo(level, body)
+            assert is_fo_abs(level, pred) is expected
 
 
 def test_monotonicity(rng):

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -10,9 +11,10 @@ from biforge.presburger import linearize
 from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment, eval_bool, eval_nat, Bounded
 from biforge.sexpr import to_sexpr
+import biforge.syntax as syntax
 from biforge.syntax import (
     Abs, And, Eq, Exists, FF, Forall, Implies, Not, Or, Plus, Sort, Succ, TT,
-    Times, Var, Zero, _BINARIES, _BINDERS, _UNARIES, _expect, _fold, abs_body,
+    Times, Var, Zero, _BINARIES, _BINDERS, _UNARIES, _expect, _fold, _on_big_stack, abs_body,
     alpha_equal, bnat, fresh_name, free_vars, is_abs, is_closed, quote_unary,
     sort_of, substitute,
 )
@@ -212,6 +214,40 @@ def test_alternating_chains_report_the_innermost_sort_fault(bottom, inner, outer
     with pytest.raises(SortError) as long:
         sort_of(chain(3000))
     assert str(long.value) == str(short.value)
+
+
+def _bottom(n):
+    """The thread and the recursion limit ``n`` calls down."""
+    return (threading.current_thread(), sys.getrecursionlimit()) if n == 0 else _bottom(n - 1)
+
+
+def test_a_retry_on_the_big_stack_restores_the_limit_and_the_stack_size(monkeypatch):
+    monkeypatch.setattr(syntax, "_DEEP_LIMIT", 20_000)
+    settings = sys.getrecursionlimit(), threading.stack_size()
+    assert _on_big_stack(_bottom, 10) == (threading.current_thread(), settings[0])
+    thread, limit = _on_big_stack(_bottom, 10_000)
+    assert thread is not threading.current_thread() and limit == 20_000
+    assert (sys.getrecursionlimit(), threading.stack_size()) == settings
+    with pytest.raises(RecursionError):
+        _on_big_stack(_bottom, 30_000)
+    assert (sys.getrecursionlimit(), threading.stack_size()) == settings
+
+
+def test_a_boundary_on_the_deep_thread_raises_without_a_second_thread():
+    main, calls = threading.current_thread(), []
+
+    def fail():
+        calls.append(threading.current_thread())
+        raise RecursionError("too deep")
+
+    def outer():
+        if threading.current_thread() is main:
+            raise RecursionError  # the first try: retried on the deep thread
+        return _on_big_stack(fail)
+
+    with pytest.raises(RecursionError, match="too deep"):
+        _on_big_stack(outer)
+    assert len(calls) == 1 and calls[0] is not main
 
 
 def test_alpha_equal_walks_deep_chains_in_a_loop():

@@ -5,7 +5,7 @@ import types
 import pytest
 
 from biforge.binum import of_nat, to_construction
-from biforge.errors import LanguageError, NotAnAbstraction, ParseError
+from biforge.errors import LanguageError, NotAnAbstraction, ParseError, SortError
 from biforge.presburger import TruthValue, bounded_oracle, compile_oracle, decide_bt6
 from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment
@@ -46,6 +46,20 @@ def test_induction_instance_gates():
         induction_instance(
             SchemaKind.INDUCTION_L2, Abs("x", Eq(Times(x, Zero()), Zero()))
         )
+
+
+@pytest.mark.parametrize("kind", list(SchemaKind))
+@pytest.mark.parametrize("body, message", [
+    (Plus(x, x), "lambda needs a bool argument, got nat"),
+    (Times(x, x), "lambda needs a bool argument, got nat"),
+    (Abs("y", TT()), "lambda needs a bool argument, got abs-pred"),
+    (And(TT(), Succ(x)), "and needs a bool argument, got nat"),
+], ids=["sum", "product", "abstraction", "ill-sorted-formula"])
+def test_induction_instance_refuses_an_ill_sorted_predicate(kind, body, message):
+    # sort_of raises the same error on the predicate, at every level.
+    with pytest.raises(SortError) as err:
+        induction_instance(kind, Abs("x", body))
+    assert str(err.value) == message
 
 
 def test_registry_contents():
