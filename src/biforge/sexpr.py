@@ -29,85 +29,93 @@ _CONSTANTS = {"z": Zero, "tt": TT, "ff": FF}
 _HEAD = {ctor: head for head, ctor in (_FORMS | _CONSTANTS).items()}
 _RESERVED = frozenset(_HEAD.values())
 
-# A parenthesis, an atom, or (group 1) an unexpected character; white
-# space between tokens is skipped.
-_TOKEN = re.compile(r"[()]|[A-Za-z0-9_\-'+*=#]+|(\S)")
+# A parenthesis or an atom; white space between tokens is skipped, and
+# any other character is stray.
+_TOKEN = re.compile(r"[()]|[A-Za-z0-9_\-'+*=#]+")
+_STRAY = re.compile(r"[^\s()A-Za-z0-9_\-'+*=#]")
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_\-']*")
 
 
 def _tokenize(text: str):
-    tokens: list[tuple[str, int]] = []
-    for m in _TOKEN.finditer(text):
-        if m[1] is not None:
-            raise ParseError(f"unexpected character {m[1]!r}", m.start())
-        tokens.append((m[0], m.start()))
-    return tokens
+    """Each token of ``text`` with its offset; a stray character is an error."""
+    stray = _STRAY.search(text)
+    if stray is not None:
+        raise ParseError(f"unexpected character {stray[0]!r}", stray.start())
+    return [(m[0], m.start()) for m in _TOKEN.finditer(text)]
 
 
 def _read_binary_literal(token: str, pos: int) -> BinNum:
     """The numeral of a ``#b`` literal, most-significant bit first."""
     bits = token[2:]
-    if not bits or any(b not in "01" for b in bits):
+    if not bits or bits.strip("01"):
         raise ParseError(f"bad binary literal {token!r}", pos)
     return BinNum(int(bits, 2), len(bits))
 
 
-def _read(tokens: list[tuple[str, int]], i: int):
+def _read(tokens: list[str], i: int):
     """One expression starting at token ``i`` of a list that has one;
-    returns (node, next index)."""
-    token, pos = tokens[i]
+    returns (node, next index).  A ParseError's position here is the
+    index of the token at fault."""
+    token = tokens[i]
     if token == ")":
-        raise ParseError("unexpected ')'", pos)
+        raise ParseError("unexpected ')'", i)
     if token != "(":
-        return _atom(token, pos), i + 1
-    if i + 1 == len(tokens):
-        raise ParseError("unclosed '('", pos)
-    head, head_pos = tokens[i + 1]
-    if head in "()":
-        raise ParseError("a form starts with an operator name", head_pos)
-    args, i = [], i + 2
-    while i < len(tokens) and tokens[i][0] != ")":
-        node, i = _read(tokens, i)
-        args.append(node)
-    if i == len(tokens):
-        raise ParseError("unclosed '('", pos)
-    return _form(head, head_pos, args), i + 1
+        return _atom(token, i), i + 1
+    try:
+        head = tokens[i + 1]
+        if head in "()":
+            raise ParseError("a form starts with an operator name", i + 1)
+        args, j = [], i + 2
+        while tokens[j] != ")":
+            node, j = _read(tokens, j)
+            args.append(node)
+    except IndexError:  # the tokens ran out
+        raise ParseError("unclosed '('", i) from None
+    return _form(head, i + 1, args), j + 1
 
 
-def _form(head: str, pos: int, args: list) -> Construction:
+def _form(head: str, index: int, args: list) -> Construction:
     ctor = _FORMS.get(head)
     if ctor is None:
-        raise ParseError(f"unknown form {head!r}", pos)
+        raise ParseError(f"unknown form {head!r}", index)
     if ctor in _BINDERS:
         if len(args) != 2 or not isinstance(args[0], Var):
-            raise ParseError(f"({head} ...) takes a variable and a body", pos)
+            raise ParseError(f"({head} ...) takes a variable and a body", index)
         return ctor(args[0].name, args[1])
     arity = 1 if ctor in _UNARIES else 2
     if len(args) != arity:
         count = "one argument" if arity == 1 else "two arguments"
-        raise ParseError(f"({head} ...) takes {count}", pos)
+        raise ParseError(f"({head} ...) takes {count}", index)
     return ctor(*args)
 
 
-def _atom(token: str, pos: int) -> Construction:
+def _atom(token: str, index: int) -> Construction:
     if token in _CONSTANTS:
         return _CONSTANTS[token]()
     if token.startswith("#b"):
-        return to_construction(_read_binary_literal(token, pos))
+        return to_construction(_read_binary_literal(token, index))
     if token in _RESERVED or token.startswith("#"):
-        raise ParseError(f"{token!r} cannot stand alone", pos)
-    if not (token[0].isalpha() and all(ch.isalnum() or ch in "_-'" for ch in token)):
-        raise ParseError(f"bad identifier {token!r}", pos)
+        raise ParseError(f"{token!r} cannot stand alone", index)
+    if _IDENTIFIER.fullmatch(token) is None:
+        raise ParseError(f"bad identifier {token!r}", index)
     return Var(token)
 
 
 def parse_construction(text: str) -> Construction:
-    """Parse one construction; trailing input is an error."""
-    tokens = _tokenize(text)
+    """Parse one construction; trailing input is an error.  The reader
+    works on token texts alone, and a token's offset is looked up only
+    for an error."""
+    if _STRAY.search(text) is not None:
+        _tokenize(text)  # raises at the stray character
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    node, i = _on_big_stack(_read, tokens, 0)
-    if i != len(tokens):
-        raise ParseError(f"trailing input {tokens[i][0]!r}", tokens[i][1])
+    try:
+        node, i = _on_big_stack(_read, tokens, 0)
+        if i != len(tokens):
+            raise ParseError(f"trailing input {tokens[i]!r}", i)
+    except ParseError as err:  # its position is a token index
+        raise ParseError(err.message, _tokenize(text)[err.position][1]) from None
     return node
 
 

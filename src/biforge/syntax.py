@@ -259,11 +259,15 @@ def _on_big_stack(f, *args):
     recursion limit ``_DEEP_LIMIT``, whose value is returned or whose
     exception is raised, and both settings are then restored.  Every
     walker is pure, so the retry answers as an unlimited first try would
-    have, and input past the raised limit still raises RecursionError."""
+    have, and input past the raised limit still raises RecursionError.
+    Inside another boundary's first try it re-raises, for that one to retry."""
     try:
         return f(*args)
     except RecursionError:
-        if sys.getrecursionlimit() >= _DEEP_LIMIT:
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not _on_big_stack.__code__:
+            frame = frame.f_back
+        if frame is not None or sys.getrecursionlimit() >= _DEEP_LIMIT:
             raise
     from concurrent.futures import ThreadPoolExecutor
 

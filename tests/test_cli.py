@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -465,6 +466,21 @@ def test_eval_of_5000_nested_forms_answers(capsys, head, bottom, env, out):
     expr = f"({head} " * 5000 + bottom + f" {bottom})" * 5000
     assert run(["eval", "--env", env, expr]) == 0
     assert capsys.readouterr() == (out + "\n", "")
+
+
+# Each boundary inside the command's first try re-raises, so a deep
+# command is retried once, by the command's own boundary, on one thread.
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "#b" + "1" * 500], str(2 ** 500 - 1)),
+    (["eval", "--env", "x=1", "(+ " * 5000 + "x" + " x)" * 5000], "5001"),
+], ids=["literal-500", "sums-x-5000"])
+def test_a_deep_command_starts_one_thread(capsys, monkeypatch, argv, out):
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: starts.append(thread) or start(thread))
+    assert run(argv) == 0
+    assert capsys.readouterr() == (out + "\n", "")
+    assert len(starts) == 1
 
 
 @pytest.mark.parametrize("depth", [3000, 5000])

@@ -250,6 +250,22 @@ def test_a_boundary_on_the_deep_thread_raises_without_a_second_thread():
     assert len(calls) == 1 and calls[0] is not main
 
 
+def test_a_boundary_inside_another_first_try_leaves_the_retry_to_it():
+    main, calls = threading.current_thread(), []
+
+    def inner():
+        if threading.current_thread() is main:
+            raise RecursionError
+        return "deep"
+
+    def outer():
+        calls.append(threading.current_thread())
+        return _on_big_stack(inner)
+
+    assert _on_big_stack(outer) == "deep"
+    assert len(calls) == 2 and calls[0] is main and calls[1] is not main
+
+
 def test_alpha_equal_walks_deep_chains_in_a_loop():
     n = 5000
 

@@ -555,9 +555,10 @@ def test_bt7_to_bt8_decides_and_samples_each_distinct_case_once(monkeypatch):
         instances.append(pred)
         return induction_instance(kind, pred)
 
-    def counting_decide(formula, *rest):
+    def counting_decide(formula, *rest):  # counts the calls that decide
+        verdict = decide_bt6(formula, *rest)
         decisions.append(formula)
-        return decide_bt6(formula, *rest)
+        return verdict
 
     def counting_oracle(formula, bound):
         holds = compile_oracle(formula, bound)
