@@ -349,7 +349,10 @@ def _compile(p, v: str, local: dict[int, int], table: _Table):
     ``v`` has the leaf ``~i``."""
     if type(p) is int:
         d, cs, k = table.atoms[p]
-        if not dict(cs).get(v):
+        for u, _ in cs:
+            if u == v:
+                break
+        else:
             return ~p
         if d >= 0:
             return local.setdefault(p, len(local))
@@ -398,16 +401,6 @@ def _place(program, moved: list, x: int, placed: list, table: _Table):
     return l if l is _T else _or(l, _place(r, moved, x, placed, table))
 
 
-def _entry(key: tuple, v: str, m: int) -> tuple[int, int, tuple, int]:
-    """The atom of the key ``(divisor or 0, coeffs, const)`` as divisor,
-    coefficient on ``m * v``, and the coefficients and constant of its
-    rest; the coefficient is 1 or -1, and 1 for a divisibility."""
-    d, cs, k = key
-    s = m // dict(cs)[v]
-    d, c, s = (d * abs(s), 1, s) if d else (0, 1 if s > 0 else -1, abs(s))
-    return d, c, tuple((u, x * s) for u, x in cs if u != v), k * s
-
-
 def _cooper(v: str, matrix, record: Optional[list[Elimination]], table: _Table):
     """``exists v`` of the quantifier-free program ``matrix`` eliminated;
     each elimination appends its record to ``record`` when that is a list.
@@ -419,16 +412,16 @@ def _cooper(v: str, matrix, record: Optional[list[Elimination]], table: _Table):
     The residue is the disjunction, over test points ``b`` and period
     steps ``1 <= j <= delta``, of the matrix with ``v := b + j``.  One
     walk compiles the matrix, folded, over its distinct atoms on ``v``,
-    and the bound ``-v - 1 < 0`` is one more.  Each of their keys is
-    split once into ints: divisor, coefficient ``c`` unified to the lcm
-    ``m``, and the coefficients and constant of its rest.  Each distinct
-    candidate ``b + j`` is tried once, where its first pair comes.  Each
-    rest is merged with ``c * b`` once per distinct ``b.coeffs``; per
-    candidate only the constants move.  A branch's atom is reduced and
-    entered into ``table`` when the fold reaches it, a constant one not
-    at all, so a ground branch folds to ``_T`` or ``_F``, and the first
-    ``_T`` ends the elimination.  The only record built is the
-    ``Elimination`` record, which lists every test point.
+    and the bound ``-v - 1 < 0`` is one more.  One pass reads each key
+    once, scanning for ``v``'s coefficient and slicing off the rest, and
+    takes the lcm ``m``; a second splits each atom into ints: divisor,
+    ``c`` in ``c * m * v``, rest and constant, and gathers test points
+    and ``delta``.  Each distinct candidate ``b + j`` is tried once, and
+    each rest merged with ``c * b`` once per distinct ``b.coeffs``, or
+    never if all are empty; per candidate only the constants move.  A
+    branch's atom enters ``table`` when the fold reaches it, a constant
+    one never, so a ground branch folds to ``_T`` or ``_F``; the first
+    ``_T`` ends the elimination, whose one record is its ``Elimination``.
     """
     if type(matrix) is tuple and matrix[0] == "|":
         flat: list = []
@@ -436,18 +429,33 @@ def _cooper(v: str, matrix, record: Optional[list[Elimination]], table: _Table):
         return _or_all([_cooper(v, part, record, table) for part in flat])
     local: dict[int, int] = {}
     program = _compile(matrix, v, local, table)
-    # Relativize to the naturals: v >= 0, i.e. -v - 1 < 0.  This always
-    # contributes a lower bound, so the minus-infinity branch is empty.
+    # Over the naturals v >= 0, i.e. -v - 1 < 0: a lower bound, so no minus-infinity branch.
     if program is not _F:
         program = "&", program, local.setdefault(table[0, ((v, -1),), -1], len(local))
-    keys = [table.atoms[i] for i in local]
-    m = lcm(*(abs(dict(cs)[v]) for _, cs, _ in keys))
-    entries = [_entry(key, v, m) for key in keys]
+    split, m, ground = [], 1, True
+    for i in local:  # each key once: divisor, v's coefficient, rest, constant
+        d, cs, k = table.atoms[i]
+        j = 0
+        while cs[j][0] != v:
+            j += 1
+        m = lcm(m, a := cs[j][1])
+        cs, ground = (cs[:j] + cs[j + 1:], False) if len(cs) > 1 else ((), ground)
+        split.append((d, a, cs, k))
+    entries, tests, delta = [], set(), m  # delta starts at m, the divisor of m | m * v
+    for d, a, cs, k in split:  # for s = m / a: d * |s| | s * t, or |s| * t < 0
+        c = 1 if d or a > 0 else -1
+        s, d = m // a * c, d * (m // abs(a))
+        if s != 1:
+            cs, k = tuple([(u, b * s) for u, b in cs]), k * s
+        if c < 0:
+            tests.add((cs, k))
+        elif d:
+            delta = lcm(delta, d)
+        entries.append((d, c, cs, k, 0))
     if m > 1:  # m | m * v
         program = "&", program, len(entries)
-        entries.append((m, 1, (), 0))
-    tests = sorted({(cs, k) for d, c, cs, k in entries if not d and c == -1})
-    delta = lcm(*(d for d, *_ in entries if d))
+        entries.append((m, 1, (), 0, 0))
+    tests = sorted(tests)
     if record is not None:
         record.append(Elimination(v, tuple(LinearTerm(cs, k) for cs, k in tests), delta))
 
@@ -458,14 +466,16 @@ def _cooper(v: str, matrix, record: Optional[list[Elimination]], table: _Table):
         xs += range(max(xs[-1], k) + 1 if xs else k + 1, k + delta + 1)
     branches = []
     for bs, xs in candidates.items():
-        moved = []
-        for d, c, cs, k in entries:
-            if bs:
-                merged = dict(cs)
-                for u, b in bs:
-                    merged[u] = merged.get(u, 0) + c * b
-                cs = tuple(sorted(p for p in merged.items() if p[1]))
-            moved.append((d, c, cs, k, gcd(*(a for _, a in cs))))
+        moved = entries  # ground: every rest and b.coeffs is empty, every g is 0
+        if not ground:
+            moved = []
+            for d, c, cs, k, _ in entries:
+                if bs:
+                    merged = dict(cs)
+                    for u, b in bs:
+                        merged[u] = merged.get(u, 0) + c * b
+                    cs = tuple(sorted([p for p in merged.items() if p[1]]))
+                moved.append((d, c, cs, k, gcd(*[b for _, b in cs])))
         for x in xs:
             branch = _place(program, moved, x, [None] * len(moved), table)
             if branch is _T:

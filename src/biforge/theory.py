@@ -392,22 +392,23 @@ def check_axioms(t: BiformTheory, samples: int = 200, bound: int = 32,
     Level-1 theories go through the successor-language decision
     procedure, level-2 sentences through quantifier elimination, and
     anything with products through the randomized bounded oracle, which
-    runs once per distinct sample (see :func:`_model_check`).
+    runs once per distinct sample (see :func:`_model_check`).  Each axiom
+    is classified once, by the decision procedure it is first sent to.
     """
     if t.level is None:
         raise ValueError("check_axioms needs a first-order theory")
     check = RandomizedModelCheck(samples, bound)
     rng = random.Random(seed)
+    decide, method = ((decide_bt5, "decide-bt5") if t.level == LangLevel.L1
+                      else (decide_bt6, "decide-bt6"))
     entries = []
     for name, formula in t.axioms:
-        if t.level == LangLevel.L1:
-            verdict = decide_bt5(formula)
-            entries.append(ReportEntry(name, "decide-bt5", verdict is TruthValue.TRUE))
-        elif is_fo(LangLevel.L2, formula):
-            verdict = decide_bt6(formula)
-            entries.append(ReportEntry(name, "decide-bt6", verdict is TruthValue.TRUE))
-        else:
+        try:
+            verdict = decide(formula)
+        except (LanguageError, SortError):
             entries.append(_sampled(name, "bounded-oracle", formula, check, rng))
+        else:
+            entries.append(ReportEntry(name, method, verdict is TruthValue.TRUE))
     return Report(f"axiom check for {t.name}", tuple(entries))
 
 

@@ -11,7 +11,7 @@ from biforge.errors import LanguageError, SortError
 from biforge.presburger import (
     Divides, Elimination, EqZero, LinearTerm, LtZero, QAnd, QAtom,
     QExists, QFalse, QForall, QFormula, QOr, QTrue, TruthValue, _F, _T, _Table,
-    _and, _atom, _compile, _decide, _entry, _formula, _gather, _or, _or_all,
+    _and, _atom, _compile, _decide, _formula, _gather, _or, _or_all,
     _program, bounded_oracle, cooper_eliminate, decide_bt5, decide_bt6,
     decide_bt6_with_bound, _linearize, eliminate_quantifiers, evaluate,
     linearize, negate, sufficiency_bound,
@@ -724,14 +724,19 @@ def test_the_atom_table_has_one_entry_per_distinct_atom(monkeypatch):
     matrix = QAnd(QAnd(QAtom(EqZero(LinearTerm.make({"y": 2}, 1))), _lt({"y": 1}, 0)),
                   QAnd(QAnd(_lt({"y": 2}, 2), _lt({"y": 1}, 1)),
                        QAnd(_div(3, {"y": 1}, 1), _lt({"y": -1}, -1))))
-    keys = []
-    monkeypatch.setattr(presburger, "_entry", _recording(presburger._entry, keys, 0))
+    moved = []
+    monkeypatch.setattr(presburger, "_place", _recording(presburger._place, moved, 1))
     records, reference_records = [], []
     got = cooper_eliminate("y", matrix, records)
     want = reference_cooper_eliminate("y", matrix, reference_records)
     assert (got, records) == (want, reference_records)
-    assert keys == [(0, (("y", 1),), 0), (0, (("y", -1),), -1), (0, (("y", 2),), 2),
-                    (0, (("y", 1),), 1), (3, (("y", 1),), 1)]
+    # One split entry per distinct key, unified to m = 2, and m | 2y last;
+    # the elimination is ground, so no rest is merged and every gcd is 0.
+    keys = [(0, (("y", 1),), 0), (0, (("y", -1),), -1), (0, (("y", 2),), 2),
+            (0, (("y", 1),), 1), (3, (("y", 1),), 1)]
+    split = [(0, 1, (), 0, 0), (0, -1, (), -2, 0), (0, 1, (), 2, 0),
+             (0, 1, (), 2, 0), (6, 1, (), 2, 0), (2, 1, (), 0, 0)]
+    assert moved and all(entries == split for entries in moved)
     # The matrix's six atoms take indices 0-5 in the order read; the
     # lowered equality's halves are atoms 1 and 5, so the walk enters no
     # new key, and the local table maps the five atoms on y to 0-4.
@@ -742,25 +747,47 @@ def test_the_atom_table_has_one_entry_per_distinct_atom(monkeypatch):
     assert [table.atoms[i] for i in local] == keys
 
 
-def test_entry_is_the_unified_atom_split():
-    # Each table key's entry equals the reference's unified atom, split
-    # into divisor, coefficient, and the coefficients and constant of the
-    # rest.
+class _Placed(Exception):
+    pass
+
+
+def test_each_split_entry_is_the_reference_unified_atom(monkeypatch):
+    # The entries the candidates of b.coeffs = () are placed with, read
+    # off the first _place call, equal the reference's unified atoms,
+    # split into divisor, coefficient, the coefficients and constant of
+    # the rest, and the gcd of those coefficients: one per distinct atom,
+    # in the order read, then the bound v >= 0 if new, then m | m * v
+    # when m > 1.  The last atom scales y's coefficient to r times the
+    # lcm of the others', so m is every multiple 1-3 of that lcm.
+    def stop(program, moved, *_):
+        raise _Placed(moved)
+    monkeypatch.setattr(presburger, "_place", stop)
     rng = random.Random("entry")
     for _ in range(2000):
         atoms = []
-        for _ in range(rng.randint(1, 4)):
+        for n in range(rng.randint(2, 5)):
             c = rng.choice([c for c in range(-6, 7) if c])
+            if n and rng.random() < 0.3:
+                c = rng.choice([1, -1]) * rng.randint(1, 3) * lcm(*(coeff(a.term, "y") for a in atoms))
             t = LinearTerm.make({"y": c, "x": rng.randint(-6, 6), "w": rng.randint(-6, 6)},
                                 rng.randint(-20, 20))
             atoms.append(LtZero(t) if rng.random() < 0.5 else Divides(rng.randint(1, 6), t))
-        m = lcm(*(abs(coeff(a.term, "y")) for a in atoms)) * rng.randint(1, 3)
-        for a in atoms:
+        bound = LtZero(LinearTerm.make({"y": -1}, -1))
+        m = lcm(*(coeff(a.term, "y") for a in atoms))
+        want = []
+        for a in dict.fromkeys([*atoms, bound]):
             u = _unify_coefficient(a, "y", m).atom
             rest = drop(u.term, "y")
-            split = (u.d if type(u) is Divides else 0, coeff(u.term, "y"), rest.coeffs, rest.const)
-            key = (a.d if type(a) is Divides else 0, a.term.coeffs, a.term.const)
-            assert _entry(key, "y", m) == split
+            want.append((u.d if type(u) is Divides else 0, coeff(u.term, "y"),
+                         rest.coeffs, rest.const, gcd(*(c for _, c in rest.coeffs))))
+        if m > 1:
+            want.append((m, 1, (), 0, 0))
+        matrix = QAtom(atoms[0])
+        for a in atoms[1:]:
+            matrix = QAnd(matrix, QAtom(a))
+        with pytest.raises(_Placed) as placed:
+            cooper_eliminate("y", matrix)
+        assert placed.value.args[0] == want
 
 
 # ---------------------------------------------------------------------------

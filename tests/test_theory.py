@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+from biforge import presburger, recognizers
 from biforge.binum import of_nat, to_construction
 from biforge.errors import LanguageError, NotAnAbstraction, ParseError, SortError
 from biforge.presburger import TruthValue, bounded_oracle, compile_oracle, decide_bt6
@@ -450,6 +451,62 @@ def test_axiom_checks_match_the_reference(monkeypatch, name, samples, bound):
     expected, expected_states = recorded(monkeypatch, check_axioms, theory(name), samples, bound, 3)
     assert report.render() == expected.render()
     assert states == expected_states
+
+
+def reference_check_axioms(t, samples, bound, seed):
+    """The report of classifying each level-2 or level-3 axiom with
+    ``is_fo`` and then deciding or sampling it, and the rng state after
+    each entry."""
+    rng = random.Random(seed)
+    entries, states = [], []
+    for name, formula in t.axioms:
+        if is_fo(LangLevel.L2, formula):
+            entries.append(ReportEntry(name, "decide-bt6", decide_bt6(formula) is TruthValue.TRUE))
+        else:
+            witness = reference_model_check(formula, samples, bound, rng)
+            entries.append(ReportEntry(
+                name, f"bounded-oracle[{samples}x{bound}]", witness is None,
+                "" if witness is None else f"counterexample {witness!r}"))
+        states.append(rng.getstate())
+    return Report(f"axiom check for {t.name}", tuple(entries)), states
+
+
+def _pool_theories():
+    closed = [f for f in map(parse_construction, _POOL) if not free_vars(f)]
+    yield from (t for t in registry() if t.level is not None and t.level > LangLevel.L1)
+    for level in (LangLevel.L2, LangLevel.L3):
+        axioms = tuple((f"a{i}", f) for i, f in enumerate(closed) if is_fo(level, f))
+        yield BiformTheory(f"P{level.value}", level, None, axioms)
+
+
+@pytest.mark.parametrize("samples, bound", [(200, 32), (7, 3), (500, 5)])
+def test_axiom_dispatch_matches_the_classifying_reference(monkeypatch, samples, bound):
+    # Deciding first and sampling on LanguageError reports, and draws,
+    # as classifying with is_fo first did, false axioms and
+    # counterexamples included.
+    failed = 0
+    for t in _pool_theories():
+        report, states = recorded(monkeypatch, check_axioms, t, samples, bound, 5)
+        expected, expected_states = reference_check_axioms(t, samples, bound, 5)
+        assert report.render() == expected.render()
+        assert states == expected_states
+        failed += sum(not e.passed for e in report.entries)
+    assert failed >= 4
+
+
+@pytest.mark.parametrize("name", [t.name for t in registry() if t.level is not None])
+def test_check_axioms_classifies_each_axiom_once(monkeypatch, name):
+    # Counted in the recognizers and in the decision procedures: a
+    # level-2 axiom of BT2, BT3, BT4, BT6 or BT7 was classified by is_fo
+    # and again by decide_bt6 (BT4: 12 calls for 7 axioms); a level-3
+    # one is classified once by decide_bt6, which then raises.
+    calls = []
+    for module in (recognizers, presburger):
+        monkeypatch.setattr(module, "_classify", lambda c, classify=module._classify:
+                            calls.append(c) or classify(c))
+    t = theory(name)
+    check_axioms(t)
+    assert calls == [f for _, f in t.axioms]
 
 
 # Obligations for generated graph files: true and false, level 2 and
