@@ -21,7 +21,7 @@ from .recognizers import LangLevel
 from .semantics import Bounded, Environment, compile_bool
 from .syntax import (
     And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Sort, Succ, TT, Var, _classify, _Record, sort_of,
+    Plus, Sort, Succ, TT, Var, _classify, _on_big_stack, _Record, sort_of,
 )
 
 
@@ -273,8 +273,8 @@ def linearize(c: Construction) -> QFormula:
         raise LanguageError("linearize needs a first-order formula over 0, successor and +")
     if sort is not Sort.BOOL:
         raise SortError("linearize needs a formula, not a term")
-    table = _Table()
-    return _formula(_linearize(c, False, None, (), table), table)
+    table = _Table()  # a table only grows, so a big-stack retry may reuse it
+    return _on_big_stack(lambda: _formula(_linearize(c, False, None, (), table), table))
 
 
 def _linearize(c: Construction, neg: bool, env: Optional[Environment],
@@ -569,13 +569,13 @@ def decide_bt6(c: Construction, e: Optional[Environment] = None) -> TruthValue:
     """Decide a formula of the 0/successor/+ language, folding the values
     of its free variables under ``e`` into its linear atoms.  Always returns
     one of the two truth values and agrees with standard-model truth."""
-    return _decide(c, e, LangLevel.L2)
+    return _on_big_stack(_decide, c, e, LangLevel.L2)
 
 
 def decide_bt5(c: Construction, e: Optional[Environment] = None) -> TruthValue:
     """Decide a formula of the 0/successor language (restriction of
     :func:`decide_bt6` to the smaller language)."""
-    return _decide(c, e, LangLevel.L1)
+    return _on_big_stack(_decide, c, e, LangLevel.L1)
 
 
 def compile_oracle(c: Construction, bound: int) -> Callable[[dict[str, int]], bool]:
@@ -624,4 +624,6 @@ def decide_bt6_with_bound(
     """Like :func:`decide_bt6` but also reports the per-sentence
     sufficiency bound for the bounded oracle (None when no uniform
     bound exists)."""
-    return _decide(c, e, LangLevel.L2, records := []), sufficiency_bound(records)
+    # each try of the big-stack boundary gathers records of its own
+    return _on_big_stack(
+        lambda: (_decide(c, e, LangLevel.L2, records := []), sufficiency_bound(records)))

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Union
 from .errors import ParseError, QuantifierEncountered, SortError
 from .syntax import (
     Abs, And, Construction, Eq, Exists, FF, Forall, Implies, Not, Or,
-    Plus, Succ, TT, Times, Var, Zero, _fold, _Record,
+    Plus, Succ, TT, Times, Var, Zero, _fold, _on_big_stack, _Record,
 )
 
 
@@ -213,7 +213,7 @@ def _compile_formula(c: Construction, bound: Optional[int]) -> Callable[[_Scope]
 
 def eval_nat(c: Construction, e: Environment) -> int:
     """Value of a term: zero, successor, sum, product, variable lookup."""
-    return _compile_term(c)(dict(e.items()))
+    return _on_big_stack(lambda: _compile_term(c)(dict(e.items())))
 
 
 def compile_bool(c: Construction, s: EvalStrategy = QUANTIFIER_FREE) -> Callable[[_Scope], bool]:
@@ -225,4 +225,4 @@ def compile_bool(c: Construction, s: EvalStrategy = QUANTIFIER_FREE) -> Callable
 
 def eval_bool(c: Construction, e: Environment, s: EvalStrategy = QUANTIFIER_FREE) -> bool:
     """Classical two-valued truth of a formula under ``e``."""
-    return compile_bool(c, s)(dict(e.items()))
+    return _on_big_stack(lambda: compile_bool(c, s)(dict(e.items())))

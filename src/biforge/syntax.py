@@ -86,67 +86,43 @@ def _field_repr(v) -> str:
         raise
 
 
-class _Spine(_Record):
-    """Successor, negation and binary nodes.  ``==`` and ``hash`` walk
-    the left spine (``arg`` or ``lhs``) in a loop, so a numeral or chain
-    of any length takes no recursion, and a right child that is its
-    node's left child is compared or hashed once, as the left one."""
+class _Node(_Record):
+    """Successor, negation, binary nodes and binders.  ``==``, ``hash``
+    and pickling walk behind :func:`_on_big_stack`, and a right child
+    that is its node's left child is walked once, as the left one."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self, other
-        while a is not b:
-            if type(a) is not type(b) or not isinstance(a, _Spine):
-                return a == b
-            if type(a) in _UNARIES:
-                a, b = a.arg, b.arg
-                continue
-            ra, rb = a.rhs, b.rhs
-            if ra is not rb and (ra is not a.lhs or rb is not b.lhs) and ra != rb:
-                return False
-            a, b = a.lhs, b.lhs
-        return True
+        return _on_big_stack(_same, self, other)
 
     def __hash__(self):
-        spine, c = [], self
-        while isinstance(c, _Spine):
-            spine.append(c)
-            c = c.arg if type(c) in _UNARIES else c.lhs
-        h = hash(c)
-        for u in reversed(spine):
-            h = hash((h,) if type(u) in _UNARIES else (h, h if u.rhs is u.lhs else hash(u.rhs)))
-        return h
+        return _hash(self)
 
     def __reduce__(self):
-        # Pickled as a flat post-order list with one entry per distinct
-        # node: a spine node's entry is its class and the indices of its
-        # children's entries, any other child's is ``(None, child)``.  A
-        # loop builds the list and one rebuilds the tree, so any depth
-        # pickles and a shared child is unpickled as one object.
-        index, entries, stack = {}, [], [self]
-        while stack:
-            c = stack.pop()
-            if id(c) in index:
-                continue
+        # A flat post-order list built by a fold, so no layer costs pickle a frame;
+        # a right child that is its node's left child unpickles as that one object.
+        entries = []
+
+        def add(entry):
+            entries.append(entry)
+            return len(entries) - 1
+
+        def node(c, *kids):
             t = type(c)
-            kids = (c.arg,) if t in _UNARIES else (c.lhs, c.rhs) if t in _BINARIES else ()
-            todo = [k for k in kids if id(k) not in index]
-            if todo:
-                stack += [c, *reversed(todo)]
-                continue
-            index[id(c)] = len(entries)
-            entries.append((t, *[index[id(k)] for k in kids]) if kids else (None, c))
+            return add((t, add(c.var), *kids) if t in _BINDERS else (t, *kids))
+
+        _fold(add, node)(self)
         return _unflatten, (entries,)
 
 
 def _unflatten(entries):
-    """The tree of a :meth:`_Spine.__reduce__` list."""
+    """The tree of a :meth:`_Node.__reduce__` list."""
     built = []
-    for cls, *refs in entries:
-        built.append(refs[0] if cls is None else cls(*[built[i] for i in refs]))
+    for e in entries:
+        built.append(e[0](*[built[i] for i in e[1:]]) if type(e) is tuple else e)
     return built[-1]
 
 
@@ -167,15 +143,15 @@ class Zero(_Record):
     __slots__ = ()
 
 
-class Succ(_Spine):
+class Succ(_Node):
     __slots__ = ("arg",)
 
 
-class Plus(_Spine):
+class Plus(_Node):
     __slots__ = ("lhs", "rhs")
 
 
-class Times(_Spine):
+class Times(_Node):
     __slots__ = ("lhs", "rhs")
 
 
@@ -195,27 +171,27 @@ class FF(_Record):
     __slots__ = ()
 
 
-class And(_Spine):
+class And(_Node):
     __slots__ = ("lhs", "rhs")
 
 
-class Or(_Spine):
+class Or(_Node):
     __slots__ = ("lhs", "rhs")
 
 
-class Not(_Spine):
+class Not(_Node):
     __slots__ = ("arg",)
 
 
-class Implies(_Spine):
+class Implies(_Node):
     __slots__ = ("lhs", "rhs")
 
 
-class Eq(_Spine):
+class Eq(_Node):
     __slots__ = ("lhs", "rhs")
 
 
-class _Binder:  # a mixin, not a record, so each binder gets its own ``==``
+class _Binder(_Node):
     __slots__ = ()
 
     def __post_init__(self):
@@ -223,15 +199,15 @@ class _Binder:  # a mixin, not a record, so each binder gets its own ``==``
             raise ValueError("variable names must be non-empty")
 
 
-class Forall(_Binder, _Record):
+class Forall(_Binder):
     __slots__ = ("var", "body")
 
 
-class Exists(_Binder, _Record):
+class Exists(_Binder):
     __slots__ = ("var", "body")
 
 
-class Abs(_Binder, _Record):
+class Abs(_Binder):
     """Unary predicate abstraction: a variable abstracted out of a formula."""
 
     __slots__ = ("var", "body")
@@ -303,6 +279,26 @@ def _fold(leaf, node):
         raise TypeError(f"not a construction: {c!r}")
 
     return functools.partial(_on_big_stack, walk)
+
+
+def _same(a, b) -> bool:
+    """``a == b`` in one walk of both trees; a right child that is its
+    node's left child on both sides is compared once, as the left one."""
+    if a is b:
+        return True
+    t = type(a)
+    if t is not type(b):
+        return False
+    if t in _BINARIES:
+        return _same(a.lhs, b.lhs) and ((a.rhs is a.lhs and b.rhs is b.lhs) or _same(a.rhs, b.rhs))
+    if t in _UNARIES:
+        return _same(a.arg, b.arg)
+    if t in _BINDERS:
+        return a.var == b.var and _same(a.body, b.body)
+    return a == b
+
+
+_hash = _fold(hash, lambda c, *hs: hash((c.var, *hs) if type(c) in _BINDERS else hs))
 
 
 def _expect(got: Sort, want: Sort, context: str) -> None:

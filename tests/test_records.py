@@ -10,6 +10,7 @@ equal records of the same class.
 
 import copy
 import pickle
+import sys
 import time
 from dataclasses import FrozenInstanceError
 
@@ -186,6 +187,47 @@ def test_a_2048_bit_literal_copies_and_pickles_in_linear_time():
         assert twin.lhs.lhs is twin.lhs.rhs
         assert best < 0.1
     assert copy.deepcopy(literal) is literal
+
+
+# Binder chains five times the recursion limit deep, built in a loop:
+# ==, !=, hash and pickling walk them on the big-stack retry, as every
+# other walker does, and copies are the record itself.
+def _binders(kinds, bottom, innermost="x"):
+    depth = 5 * sys.getrecursionlimit()
+    c = kinds[0](innermost, bottom)
+    for k in range(1, depth):
+        kind = kinds[k % len(kinds)]
+        c = kind(c) if kind is Not else kind("x", c)
+    return c
+
+
+CHAINS = {
+    "forall": [Forall], "exists": [Exists], "abs": [Abs],
+    "binder-not-binder": [Forall, Not, Exists, Not],
+}
+
+
+@pytest.mark.parametrize("kinds", CHAINS.values(), ids=CHAINS.keys())
+def test_deep_binder_chains_compare_hash_copy_and_pickle(kinds):
+    a, b = _binders(kinds, Eq(x, Zero())), _binders(kinds, Eq(x, Zero()))
+    assert a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    twin = pickle.loads(pickle.dumps(a))
+    assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+
+
+def test_deep_binder_chains_that_differ_in_the_innermost_variable_are_unequal():
+    a, b = _binders([Forall], Eq(x, Zero())), _binders([Forall], Eq(x, Zero()), "y")
+    assert a != b and not a == b
+
+
+def test_a_literal_under_a_deep_binder_unpickles_with_its_shared_child_shared():
+    literal = parse_construction("#b" + "10" * 64)
+    twin = pickle.loads(pickle.dumps(_binders([Exists, Not], Eq(x, literal))))
+    while type(twin) is not Eq:
+        twin = twin.arg if type(twin) is Not else twin.body
+    assert twin.rhs == literal and twin.rhs.lhs.lhs is twin.rhs.lhs.rhs
 
 
 def test_an_int_past_the_decimal_cap_is_written_in_hex():

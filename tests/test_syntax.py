@@ -7,7 +7,9 @@ import pytest
 
 from biforge.binum import BinNum, to_construction
 from biforge.errors import NotAnAbstraction, SortError
-from biforge.presburger import linearize
+from biforge.presburger import (
+    QForall, QTrue, TruthValue, decide_bt5, decide_bt6, decide_bt6_with_bound, linearize,
+)
 from biforge.recognizers import LangLevel, is_fo
 from biforge.semantics import Environment, eval_bool, eval_nat, Bounded
 from biforge.sexpr import to_sexpr
@@ -154,8 +156,8 @@ def test_alpha_equal():
     assert a != b
 
 
-# Successor and negation chains are walked in a loop, so their depth is
-# not bounded by the interpreter's recursion limit.
+# Successor and negation chains are walked on the big-stack retry of each
+# walker, so their depth is not bounded by the interpreter's recursion limit.
 DEPTH = 10_000
 
 
@@ -181,6 +183,51 @@ def test_walkers_answer_on_deep_chains(chain):
     assert sort_of(grounded) is sort
     if sort is Sort.BOOL:
         linearize(grounded)
+
+
+def _stacked(wrap, c, n):
+    for _ in range(n):
+        c = wrap(c)
+    return c
+
+
+def _foralls(n):
+    return _stacked(lambda c: Forall("x", c), Eq(x, x), n)
+
+
+def _ands(n):
+    return _stacked(lambda c: And(c, Eq(x, x)), Eq(x, x), n)
+
+
+def _quantifier_prefix(q):
+    n = 0
+    while type(q) is QForall:
+        q, n = q.body, n + 1
+    return n, q
+
+
+# The library's entry points answer past the recursion limit through
+# their own big-stack retry, as the command line does through its one.
+@pytest.mark.parametrize("call, want", [
+    (lambda n: decide_bt6(_foralls(n)), lambda n: TruthValue.TRUE),
+    (lambda n: decide_bt5(_foralls(n)), lambda n: TruthValue.TRUE),
+    (lambda n: decide_bt6_with_bound(_foralls(n)), lambda n: (TruthValue.TRUE, 0)),
+    (lambda n: _quantifier_prefix(linearize(_foralls(n))), lambda n: (n, QTrue())),
+    (lambda n: decide_bt6(_ands(n)), lambda n: TruthValue.TRUE),
+    (lambda n: eval_bool(_ands(n), Environment()), lambda n: True),
+    (lambda n: eval_nat(_stacked(lambda c: Plus(c, x), x, n), Environment({"x": 2})),
+     lambda n: 2 * (n + 1)),
+], ids=["decide_bt6-forall", "decide_bt5-forall", "decide_bt6_with_bound-forall",
+        "linearize-forall", "decide_bt6-and", "eval_bool-and", "eval_nat-sum"])
+def test_library_entry_points_answer_past_the_recursion_limit(call, want):
+    n = 5 * sys.getrecursionlimit()
+    try:
+        got = call(n)
+    except RecursionError:
+        # Failed outside the handler: pytest compares the locals of a
+        # deep traceback's frames, which takes minutes on these trees.
+        got = RecursionError
+    assert got == want(n)
 
 
 def test_deep_chains_report_the_innermost_sort_fault():
